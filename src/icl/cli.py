@@ -70,14 +70,15 @@ def cmd_fringe(cfg: RunConfig, out_dir: Path) -> int:
     detector = heralding.DetectorModel(cfg.eta, cfg.nu)
     heralded_ok = cfg.kind is TopologyKind.TWO_SPDC
 
-    rows = []
-    for phi in cfg.phase_values():
-        n_plus, n_minus = interferometer.singles_fringe_analytic(topo, float(phi))
-        if heralded_ok:
-            conditional = heralding.mode_matched_conditional_mean(topo, float(phi), detector)
-        else:
-            conditional = float("nan")
-        rows.append([float(phi), n_plus, n_minus, conditional])
+    phis = [float(phi) for phi in cfg.phase_values()]
+    if heralded_ok:
+        heralded = heralding.mode_matched_conditional_means([topo] * len(phis), phis, detector)
+    else:
+        heralded = [float("nan")] * len(phis)
+    rows = [
+        [phi, *interferometer.singles_fringe_analytic(topo, phi), float(conditional)]
+        for phi, conditional in zip(phis, heralded)
+    ]
     write_csv(out_dir / "fringe.csv", ["phi", "n_plus", "n_minus", "n_plus_heralded"], rows)
     return EXIT_OK
 
@@ -128,23 +129,24 @@ def cmd_scan_visibility(cfg: RunConfig, out_dir: Path) -> int:
 
 def cmd_scan_snr(cfg: RunConfig, out_dir: Path) -> int:
     header = ["T", "N_B", "snr_uncond", "snr_herald_pair", "snr_herald_general"]
-    rows = []
-    per_background: dict[float, list[list[float]]] = {}
-    for n_b in cfg.n_b_values:
-        block = []
-        for T in cfg.transmittance_values():
-            T = float(T)
-            topo = interferometer.two_spdc(cfg.v_a, cfg.v_b, T, n_b)
-            row = [
-                T,
-                float(n_b),
-                metrics.snr_unconditional(topo, 0.0).value,
-                metrics.snr_heralded(topo, 0.0, "pair").value,
-                metrics.snr_heralded(topo, 0.0, "general").value,
-            ]
-            rows.append(row)
-            block.append(row)
-        per_background[float(n_b)] = block
+    t_values = [float(T) for T in cfg.transmittance_values()]
+    grid = [(T, float(n_b)) for n_b in cfg.n_b_values for T in t_values]
+    topos = [interferometer.two_spdc(cfg.v_a, cfg.v_b, T, n_b) for T, n_b in grid]
+    general = metrics.snr_heralded_general_grid(topos, 0.0)
+    rows = [
+        [
+            T,
+            n_b,
+            metrics.snr_unconditional(topo, 0.0).value,
+            metrics.snr_heralded(topo, 0.0, "pair").value,
+            herald_general,
+        ]
+        for (T, n_b), topo, herald_general in zip(grid, topos, general)
+    ]
+    count = len(t_values)
+    per_background = {
+        float(n_b): rows[k * count : (k + 1) * count] for k, n_b in enumerate(cfg.n_b_values)
+    }
     write_csv(out_dir / "scan_snr.csv", header, rows)
 
     series = []

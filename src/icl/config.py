@@ -127,9 +127,12 @@ def _as_float(mapping: dict[str, str], key: str, default: float | None = None) -
     if key not in mapping:
         return default
     try:
-        return float(mapping[key])
+        value = float(mapping[key])
     except ValueError as err:
         raise ConfigError(f"{key}: not a number: {mapping[key]!r}") from err
+    if not math.isfinite(value):
+        raise ConfigError(f"{key}: not a finite number: {mapping[key]!r}")
+    return value
 
 
 def _as_int(mapping: dict[str, str], key: str, default: int | None = None) -> int | None:
@@ -148,9 +151,12 @@ def _as_float_list(mapping: dict[str, str], key: str, default: tuple[float, ...]
     if not parts:
         raise ConfigError(f"{key}: empty list")
     try:
-        return tuple(float(p) for p in parts)
+        values = tuple(float(p) for p in parts)
     except ValueError as err:
         raise ConfigError(f"{key}: not a number list: {mapping[key]!r}") from err
+    if not all(math.isfinite(v) for v in values):
+        raise ConfigError(f"{key}: not a list of finite numbers: {mapping[key]!r}")
+    return values
 
 
 def run_config_from_mapping(mapping: dict[str, str]) -> RunConfig:

@@ -18,12 +18,16 @@ while the herald-side correlation comes from a filtered pass in which the
 object port acts as a raw amplitude contraction of the idler (no ancilla
 admixture).  The filtered pass runs on raw stacked-moment matrices since
 the contraction is not a unitary element.
+
+Both passes run over whole grids of (V_A, V_B, T, phi) points as stacked
+engine propagations; the single-point functions are their one-point case.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import Sequence
 
 import numpy as np
 
@@ -36,10 +40,15 @@ from .interferometer import (
     MODE_SIGNAL_B,
     Topology,
     TopologyKind,
+    _INV_SQRT2,
 )
 
-_INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _CHECK_TOL = 1e-10
+_NO_HERALD = "no herald events: the herald mode is empty"
+
+# Grid points per stacked engine propagation: larger grids run chunk by
+# chunk, which bounds the working memory at no cost in speed.
+STACK_CHUNK = 128
 
 
 @dataclass(frozen=True)
@@ -85,7 +94,7 @@ def conditional_mean_wick(state: GaussianState, mode_i: ModeId, mode_s: ModeId) 
     """Click-conditioned signal mean <n_I n_S> / <n_I> for an ideal herald."""
     n_i = gaussian.mean_photon_number(state, mode_i)
     if n_i <= 0.0:
-        raise ValueError("no herald events: the herald mode is empty")
+        raise ValueError(_NO_HERALD)
     return _number_product(state, mode_i, mode_s) / n_i
 
 
@@ -112,7 +121,8 @@ def conditional_mean_povm(
 
 @dataclass(frozen=True)
 class ModeMatchedMoments:
-    """Ingredients of the conditional fringe at one phase."""
+    """Ingredients of the conditional fringe at one phase; arrays over the
+    grid when returned by ``mode_matched_moments_grid``."""
 
     herald_mean: float            # <n_I>
     signal_mean: float            # <n_S>(phi)
@@ -120,91 +130,192 @@ class ModeMatchedMoments:
     exchange_corr: complex        # <b_I b_S^dag>(phi); zero in this geometry
 
 
-def _closed_form_moments(topo: Topology, phi: float) -> tuple[float, float, float]:
-    """(herald mean, signal mean, |pair correlation|^2) closed forms."""
-    v_a = topo.crystal_a.V
-    v_b = topo.crystal_b.V
+def _gains(topo: Topology | Sequence[Topology]) -> tuple:
+    """(V_A, V_B, T) of one topology, or arrays of them over a sequence."""
+    if isinstance(topo, Topology):
+        return topo.crystal_a.V, topo.crystal_b.V, topo.object_port.T
+    return tuple(np.array(values) for values in zip(*map(_gains, topo)))
+
+
+# Degenerate gains overflow to inf or nan here, silently, as the scalar
+# float forms always did; the checks then compare against those values.
+@np.errstate(all="ignore")
+def _closed_form_moments(topo: Topology | Sequence[Topology], phi) -> tuple:
+    """(herald mean, signal mean, |pair correlation|^2) closed forms, for one
+    topology and phase or elementwise over a sequence and a phase array."""
+    v_a, v_b, T = _gains(topo)
     u_a = 1.0 + v_a
     u_b = 1.0 + v_b
-    T = topo.object_port.T
     n_i = u_b * T * v_a + v_b
-    cos2 = math.cos(2.0 * phi)
-    n_s = 0.5 * (v_a + v_b + T * v_a * v_b) + math.sqrt(T * u_a * v_a * v_b) * cos2
-    corr_sq = (
-        0.5
-        * u_b
-        * T
-        * u_a
-        * (T * u_a * v_b + v_a + 2.0 * math.sqrt(T * u_a * v_a * v_b) * cos2)
-    )
+    cos2 = np.cos(2.0 * np.asarray(phi))
+    root = np.sqrt(T * u_a * v_a * v_b)
+    n_s = 0.5 * (v_a + v_b + T * v_a * v_b) + root * cos2
+    corr_sq = 0.5 * u_b * T * u_a * (T * u_a * v_b + v_a + 2.0 * root * cos2)
     return n_i, n_s, corr_sq
 
 
-def mode_matched_moments(topo: Topology, phi: float) -> ModeMatchedMoments:
-    """Engine computation of the mode-matched herald/signal moments.
+@np.errstate(all="ignore")
+def _closed_form_fringe(topos: Sequence[Topology]) -> tuple:
+    """(herald mean, dc, amplitude) closed forms of the heralded fringe,
+    elementwise over topologies; dc and amplitude hold where <n_I> > 0."""
+    v_a, v_b, T = _gains(topos)
+    u_a, u_b = 1.0 + v_a, 1.0 + v_b
+    n_i = u_b * T * v_a + v_b
+    dc = 0.5 * (v_a + v_b + T * v_a * v_b) + 0.5 * u_b / n_i * (
+        v_b * (T * u_a) ** 2 + T * u_a * v_a
+    )
+    amplitude = np.sqrt(T * u_a * v_a * v_b) * (1.0 + u_b * T * u_a / n_i)
+    return n_i, dc, amplitude
 
-    Two passes through the stacked-transform machinery: a unitary pass with
-    the background port in vacuum for the intensities, and a filtered pass
-    with the object port as a raw idler contraction for the correlations.
-    The results are verified against the closed forms on every call.
-    """
-    if topo.kind is not TopologyKind.TWO_SPDC:
-        raise ValueError("mode-matched heralding is defined for the two-source layout")
-    port = topo.object_port
 
-    clean = replace(topo, object_port=ObjectPort(port.T, 0.0))
-    state = interferometer.output_state(clean, phi)
-    n_s = gaussian.mean_photon_number(state, MODE_PLUS)
-    n_i = gaussian.mean_photon_number(state, MODE_IDLER)
+def _check_closed_forms(what: str, expected: tuple, got: tuple) -> None:
+    """Raise RuntimeError unless every grid point is within _CHECK_TOL
+    (relative, floor 1) of its closed form."""
+    for exp, value in zip(expected, got):
+        off = np.abs(exp - value) > _CHECK_TOL * np.maximum(1.0, np.abs(exp))
+        if off.any():
+            k = np.argmax(off)
+            raise RuntimeError(
+                f"{what} disagree with their closed forms: "
+                f"expected {float(exp[k])!r}, got {float(value[k])!r}"
+            )
+
+
+def _abs_squared(z: np.ndarray) -> np.ndarray:
+    """|z|^2 rounded as the scalar ``abs(z) ** 2`` (hypot, then pow):
+    ``np.abs`` and ``** 2`` on arrays can differ from it in the last bit."""
+    return np.float_power(np.hypot(z.real, z.imag), 2.0)
+
+
+def _mode_matched_chunk(topos: Sequence[Topology], phis: Sequence[float]) -> tuple:
+    """Unitary and filtered stacked passes over one chunk of grid points."""
+    clean = [replace(t, object_port=ObjectPort(t.object_port.T, 0.0)) for t in topos]
+    states = interferometer.output_states(clean, phis)
+    n_s = states.mean_photon_numbers(MODE_PLUS)
+    n_i = states.mean_photon_numbers(MODE_IDLER)
 
     # Filtered pass on three modes: signal A, signal B, idler.
     n = 3
-    sigma = gaussian.vacuum_sigma(n)
+    half = np.full(len(topos), _INV_SQRT2)
     steps = (
-        gaussian.squeezer_coeffs(n, MODE_SIGNAL_A, MODE_IDLER, topo.crystal_a),
-        gaussian.mode_scaling_coeffs(n, MODE_IDLER, port.t_amp),
-        gaussian.squeezer_coeffs(n, MODE_SIGNAL_B, MODE_IDLER, topo.crystal_b),
-        gaussian.phase_coeffs(n, MODE_SIGNAL_B, 2.0 * phi),
-        gaussian.beam_splitter_coeffs(n, MODE_SIGNAL_B, MODE_SIGNAL_A, _INV_SQRT2, _INV_SQRT2),
+        gaussian.squeezer_coeffs(n, MODE_SIGNAL_A, MODE_IDLER, [t.crystal_a for t in topos]),
+        gaussian.mode_scaling_coeffs(n, MODE_IDLER, [t.object_port.t_amp for t in topos]),
+        gaussian.squeezer_coeffs(n, MODE_SIGNAL_B, MODE_IDLER, [t.crystal_b for t in topos]),
+        gaussian.phase_coeffs(n, MODE_SIGNAL_B, [2.0 * phi for phi in phis]),
+        gaussian.beam_splitter_coeffs(n, MODE_SIGNAL_B, MODE_SIGNAL_A, half, half),
     )
+    sigma = gaussian.vacuum_sigma(n)
     for e, f in steps:
         sigma = gaussian.conjugate_sigma(sigma, gaussian.stacked_map(e, f))
     # Ordered entries with the herald operator leftmost.
-    pair_corr = complex(sigma[MODE_IDLER, n + MODE_PLUS])       # <b_I b_S>
-    exchange_corr = complex(sigma[MODE_IDLER, MODE_PLUS])       # <b_I b_S^dag>
+    pair_corr = sigma[:, MODE_IDLER, n + MODE_PLUS]       # <b_I b_S>
+    exchange_corr = sigma[:, MODE_IDLER, MODE_PLUS]       # <b_I b_S^dag>
 
-    exp_n_i, exp_n_s, exp_corr_sq = _closed_form_moments(topo, phi)
-    checks = (
-        (exp_n_i, n_i),
-        (exp_n_s, n_s),
-        (exp_corr_sq, abs(pair_corr) ** 2),
+    _check_closed_forms(
+        "mode-matched engine moments",
+        _closed_form_moments(topos, phis),
+        (n_i, n_s, _abs_squared(pair_corr)),
     )
-    for expected, got in checks:
-        if abs(expected - got) > _CHECK_TOL * max(1.0, abs(expected)):
-            raise RuntimeError(
-                "mode-matched engine moments disagree with their closed forms: "
-                f"expected {expected!r}, got {got!r}"
-            )
-    return ModeMatchedMoments(n_i, n_s, pair_corr, exchange_corr)
+    return n_i, n_s, pair_corr, exchange_corr
+
+
+def mode_matched_moments_grid(
+    topos: Sequence[Topology], phis: Sequence[float]
+) -> ModeMatchedMoments:
+    """Engine mode-matched herald/signal moments at every grid point
+    (topos[k], phis[k]), as arrays over the grid.
+
+    Two stacked passes through the moment engine: a unitary pass with the
+    background port in vacuum for the intensities, and a filtered pass with
+    the object port as a raw idler contraction for the correlations.  The
+    grid runs in chunks of STACK_CHUNK points, and every point is verified
+    against the closed forms.
+    """
+    if len(topos) != len(phis):
+        raise ValueError("the grid needs one phase per topology")
+    if any(t.kind is not TopologyKind.TWO_SPDC for t in topos):
+        raise ValueError("mode-matched heralding is defined for the two-source layout")
+    chunks = [
+        _mode_matched_chunk(topos[k : k + STACK_CHUNK], phis[k : k + STACK_CHUNK])
+        for k in range(0, len(topos), STACK_CHUNK)
+    ]
+    return ModeMatchedMoments(*(np.concatenate(parts) for parts in zip(*chunks)))
+
+
+def mode_matched_moments(topo: Topology, phi: float) -> ModeMatchedMoments:
+    """Engine mode-matched moments at one point of ``mode_matched_moments_grid``."""
+    mm = mode_matched_moments_grid([topo], [phi])
+    return ModeMatchedMoments(
+        float(mm.herald_mean[0]),
+        float(mm.signal_mean[0]),
+        complex(mm.pair_corr[0]),
+        complex(mm.exchange_corr[0]),
+    )
+
+
+def mode_matched_conditional_means(
+    topos: Sequence[Topology], phis: Sequence[float], det: DetectorModel | None = None
+) -> np.ndarray:
+    """Conditional signal mean at every grid point (topos[k], phis[k]); nan
+    where the herald mode is empty."""
+    mm = mode_matched_moments_grid(topos, phis)
+    dark = mm.herald_mean <= 0.0
+    herald_mean = np.where(dark, 1.0, mm.herald_mean)
+    boost = _abs_squared(mm.pair_corr) + _abs_squared(mm.exchange_corr)
+    if det is None:
+        values = mm.signal_mean + boost / herald_mean
+    else:
+        values = mm.signal_mean + det.eta * boost / (det.eta * herald_mean + det.nu)
+    return np.where(dark, np.nan, values)
 
 
 def mode_matched_conditional_mean(
     topo: Topology, phi: float, det: DetectorModel | None = None
 ) -> float:
     """Conditional signal mean of the mode-matched fringe at one phase."""
-    mm = mode_matched_moments(topo, phi)
-    if mm.herald_mean <= 0.0:
-        raise ValueError("no herald events: the herald mode is empty")
-    boost = abs(mm.pair_corr) ** 2 + abs(mm.exchange_corr) ** 2
-    if det is None:
-        return mm.signal_mean + boost / mm.herald_mean
-    click = det.eta * mm.herald_mean + det.nu
-    if click <= 0.0:
-        raise ValueError("no click probability: eta * <n_I> + nu vanishes")
-    return mm.signal_mean + det.eta * boost / click
+    (value,) = mode_matched_conditional_means([topo], [phi], det)
+    if math.isnan(value):
+        raise ValueError(_NO_HERALD)
+    return float(value)
 
 
 DEFAULT_PHI_GRID = interferometer.FRINGE_PHASES
+
+
+def heralded_fringes_mode_matched(
+    topos: Sequence[Topology], phi_grid: tuple[float, ...] = DEFAULT_PHI_GRID
+) -> list[HeraldedFringe | None]:
+    """Heralded fringe of every topology from one batched engine pass, None
+    where the herald mode is empty.
+
+    Every topology is evaluated at every grid phase through
+    ``mode_matched_conditional_means``; dc and amplitude of all of them come
+    from one least-squares fit and are verified against their closed forms.
+    """
+    phis = np.asarray(phi_grid, dtype=float)
+    cos2 = np.cos(2.0 * phis)
+    if phis.size < 2 or abs(cos2.max() - cos2.min()) < 1e-9:
+        raise ValueError("phase grid must sample at least two distinct cos(2 phi) values")
+    grid = [t for t in topos for _ in phis]
+    values = mode_matched_conditional_means(grid, np.tile(phis, len(topos)))
+    values = values.reshape(len(topos), phis.size)
+    dark = np.isnan(values).any(axis=1)
+    design = np.column_stack([np.ones_like(cos2), cos2])
+    rhs = np.where(dark[:, None], 0.0, values).T
+    (dc, amplitude), *_ = np.linalg.lstsq(design, rhs, rcond=None)
+
+    n_i, exp_dc, exp_amp = _closed_form_fringe(topos)
+    checked = ~dark & (n_i > 0.0)
+    _check_closed_forms(
+        "fitted heralded fringes",
+        (exp_dc[checked], exp_amp[checked]),
+        (dc[checked], amplitude[checked]),
+    )
+    visibility = np.divide(amplitude, dc, out=np.zeros_like(dc), where=dc > 0.0)
+    return [
+        None if is_dark else HeraldedFringe(float(d), float(a), float(v))
+        for is_dark, d, a, v in zip(dark, dc, amplitude, visibility)
+    ]
 
 
 def heralded_fringe_mode_matched(
@@ -216,32 +327,10 @@ def heralded_fringe_mode_matched(
     must therefore contain at least two phases with distinct cos(2 phi).
     The fitted dc and amplitude are verified against their closed forms.
     """
-    phis = np.asarray(phi_grid, dtype=float)
-    cos2 = np.cos(2.0 * phis)
-    if phis.size < 2 or abs(cos2.max() - cos2.min()) < 1e-9:
-        raise ValueError("phase grid must sample at least two distinct cos(2 phi) values")
-    values = np.array([mode_matched_conditional_mean(topo, p) for p in phis])
-    design = np.column_stack([np.ones_like(cos2), cos2])
-    (dc, amplitude), *_ = np.linalg.lstsq(design, values, rcond=None)
-
-    v_a = topo.crystal_a.V
-    v_b = topo.crystal_b.V
-    u_a, u_b = 1.0 + v_a, 1.0 + v_b
-    T = topo.object_port.T
-    n_i = u_b * T * v_a + v_b
-    if n_i > 0.0:
-        exp_dc = 0.5 * (v_a + v_b + T * v_a * v_b) + 0.5 * u_b / n_i * (
-            v_b * (T * u_a) ** 2 + T * u_a * v_a
-        )
-        exp_amp = math.sqrt(T * u_a * v_a * v_b) * (1.0 + u_b * T * u_a / n_i)
-        for expected, got in ((exp_dc, dc), (exp_amp, amplitude)):
-            if abs(expected - got) > _CHECK_TOL * max(1.0, abs(expected)):
-                raise RuntimeError(
-                    f"fitted heralded fringe ({dc!r}, {amplitude!r}) disagrees with "
-                    f"closed forms ({exp_dc!r}, {exp_amp!r})"
-                )
-    visibility = amplitude / dc if dc > 0.0 else 0.0
-    return HeraldedFringe(dc=float(dc), amplitude=float(amplitude), visibility=float(visibility))
+    (fringe,) = heralded_fringes_mode_matched([topo], phi_grid)
+    if fringe is None:
+        raise ValueError(_NO_HERALD)
+    return fringe
 
 
 def heralded_visibility_pair_limit(topo: Topology) -> float:

@@ -23,12 +23,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import Sequence
 
 from . import gaussian
 from .gaussian import (
     BeamSplitter,
     Element,
     GaussianState,
+    GaussianStates,
     ObjectPort,
     PhaseShift,
     SqueezerParams,
@@ -150,6 +152,13 @@ def output_state(topo: Topology, phi: float, *, through_splitter: bool = True) -
     return gaussian.run_elements(
         network_modes(topo), network_elements(topo, phi, through_splitter=through_splitter)
     )
+
+
+def output_states(topos: Sequence[Topology], phis: Sequence[float]) -> GaussianStates:
+    """Propagate topology k at fringe phase ``phis[k]`` for every k in one
+    batched engine pass; the topologies must share one layout."""
+    networks = [network_elements(t, phi) for t, phi in zip(topos, phis, strict=True)]
+    return gaussian.run_elements_batch(network_modes(topos[0]), networks)
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Literal
+from typing import Literal, Sequence
 
 from . import heralding, interferometer
 from .interferometer import Topology, TopologyKind
@@ -129,8 +129,20 @@ def snr_heralded(
         denom = v_a + v_b + T * v_a * v_b
         power = 0.0 if denom <= 0.0 else 4.0 * T * (1.0 + v_a) * v_a * v_b * cos_sq / denom
     elif limit == "general":
-        fr = heralding.heralded_fringe_mode_matched(topo)
-        power = 0.0 if fr.dc <= 0.0 else 2.0 * fr.amplitude**2 * cos_sq / fr.dc
+        power = _general_power(heralding.heralded_fringe_mode_matched(topo), cos_sq)
     else:
         raise ValueError(f"unknown heralded SNR limit {limit!r}")
     return SnrResult(power, SnrConvention.POWER_RATIO).converted(convention)
+
+
+def _general_power(fr: heralding.HeraldedFringe, cos_sq: float) -> float:
+    return 0.0 if fr.dc <= 0.0 else 2.0 * fr.amplitude**2 * cos_sq / fr.dc
+
+
+def snr_heralded_general_grid(topos: Sequence[Topology], phi: float) -> list[float]:
+    """Power-ratio general heralded SNR of every topology from one batched
+    engine pass; nan where the herald mode is empty (``snr_heralded``
+    raises there)."""
+    cos_sq = math.cos(2.0 * phi) ** 2
+    fringes = heralding.heralded_fringes_mode_matched(topos)
+    return [math.nan if fr is None else _general_power(fr, cos_sq) for fr in fringes]

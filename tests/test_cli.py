@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from icl import cli
+from icl import cli, heralding
 from icl.config import ConfigError, load_run_config, parse_config_text, run_config_from_mapping
 from icl.interferometer import TopologyKind
 
@@ -83,6 +83,25 @@ class TestConfigParsing:
                 {"topology.kind": "3spdc", "gain.V_A": "1", "gain.V_B": "1", "object.T": "0.5"}
             )
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("noise.N_B", "nan"),
+            ("noise.N_B", "0, inf"),
+            ("gain.V_A", "inf"),
+            ("object.T", "nan"),
+            ("phase.max", "-inf"),
+            ("detector.nu", "inf"),
+            ("verify.tolerance_scale", "nan"),
+        ],
+    )
+    def test_non_finite_numbers_rejected(self, tmp_path, key, value):
+        mapping = parse_config_text(FRINGE_CFG) | {key: value}
+        with pytest.raises(ConfigError, match="finite"):
+            run_config_from_mapping(mapping)
+        cfg = write_cfg(tmp_path, "".join(f"{k} = {v}\n" for k, v in mapping.items()))
+        assert cli.main(["fringe", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+
     def test_log_sweep_values(self):
         cfg = run_config_from_mapping(
             {
@@ -114,6 +133,15 @@ class TestFringeCommand:
         rows = (tmp_path / "out" / "fringe.csv").read_text().splitlines()[1:]
         n_plus = [float(r.split(",")[1]) for r in rows]
         assert max(n_plus) - min(n_plus) < 1e-15
+
+    def test_dark_herald_writes_nan(self, tmp_path):
+        text = FRINGE_CFG.replace("gain.V_B = 0.1", "gain.V_B = 0")
+        text = text.replace("object.T = 0.5", "object.T = 0")
+        cfg = write_cfg(tmp_path, text + "detector.eta = 0.5\ndetector.nu = 0.1\n")
+        assert cli.main(["fringe", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+        rows = (tmp_path / "out" / "fringe.csv").read_text().splitlines()[1:]
+        assert len(rows) == 16
+        assert all(r.split(",")[3] == "nan" and math.isfinite(float(r.split(",")[1])) for r in rows)
 
     def test_sweep_rejected(self, tmp_path):
         cfg = write_cfg(tmp_path, SCAN_CFG)
@@ -172,6 +200,32 @@ class TestScanSnrCommand:
         # convergence at T = 1
         assert blocks[2, -1, 2] == pytest.approx(blocks[2, -1, 3], abs=1e-12)
         assert (out / "scan_snr.svg").is_file()
+
+
+    def test_dark_herald_point_writes_nan(self, tmp_path):
+        text = SCAN_CFG.replace("gain.V_B = 0.1", "gain.V_B = 0")
+        cfg = write_cfg(tmp_path, text.replace("object.T.min = 0.05", "object.T.min = 0"))
+        out = tmp_path / "out"
+        assert cli.main(["scan-snr", "--config", str(cfg), "--out", str(out)]) == 0
+        lines = (out / "scan_snr.csv").read_text().splitlines()[1:]
+        general = {(r.split(",")[0], r.split(",")[1]): r.split(",")[4] for r in lines}
+        assert len(general) == 16
+        assert general[("0", "0")] == "nan" and general[("0", "10")] == "nan"
+        assert all(math.isfinite(float(v)) for (T, _), v in general.items() if T != "0")
+
+    def test_grid_wide_closed_form_check_is_live(self, tmp_path, monkeypatch):
+        closed_form = heralding._closed_form_moments
+
+        def skewed(topo, phi):
+            n_i, n_s, corr_sq = closed_form(topo, phi)
+            n_s = np.array(n_s, dtype=float)
+            n_s[-1] += 1e-6  # one grid point per propagated chunk
+            return n_i, n_s, corr_sq
+
+        monkeypatch.setattr(heralding, "_closed_form_moments", skewed)
+        cfg = write_cfg(tmp_path, SCAN_CFG)
+        with pytest.raises(RuntimeError, match="closed forms"):
+            cli.main(["scan-snr", "--config", str(cfg), "--out", str(tmp_path / "out")])
 
 
 class TestVerifyCommand:

@@ -239,3 +239,61 @@ def test_beam_splitter_conserves_pair_energy(ops, thermal, angle):
 def test_symplectic_identity_exact():
     p = g.SqueezerParams(2.5)
     assert p.U - p.V == 1.0
+
+
+# ---------------------------------------------------------------------------
+# Batched propagation
+# ---------------------------------------------------------------------------
+
+
+def _layout_networks():
+    """Networks of one layout with varied parameters; some thermal, some not."""
+    networks = []
+    for k, n_bar in enumerate((0.0, 0.7, 3.0, 0.0, 12.0)):
+        angle = 0.3 * k
+        elements = [g.ThermalInput(2, n_bar)] if n_bar > 0.0 else []
+        elements += [
+            g.TwoModeSqueezer(0, 1, g.SqueezerParams(0.05 + 0.4 * k, 0.2 * k)),
+            g.BeamSplitter(1, 2, math.cos(angle), math.sin(angle)),
+            g.PhaseShift(0, 1.1 * k),
+            g.TwoModeSqueezer(0, 2, g.SqueezerParams(2.0 * k)),
+        ]
+        networks.append(elements)
+    return networks
+
+
+def test_batch_items_equal_single_runs():
+    networks = _layout_networks()
+    states = g.run_elements_batch(3, networks)
+    assert len(states) == len(networks)
+    for k, elements in enumerate(networks):
+        single = g.run_elements(3, elements)
+        assert np.array_equal(states[k].normal_moments, single.normal_moments)
+        assert np.array_equal(states[k].anomalous_moments, single.anomalous_moments)
+        assert states.mean_photon_numbers(1)[k] == g.mean_photon_number(single, 1)
+
+
+def test_batch_rejects_mixed_layouts():
+    networks = _layout_networks()
+    networks[3][-1] = g.TwoModeSqueezer(1, 2, g.SqueezerParams(0.1))
+    with pytest.raises(ValueError, match="layout"):
+        g.run_elements_batch(3, networks)
+
+
+def test_batch_checks_every_element():
+    networks = _layout_networks()
+    networks[2][-3] = g.BeamSplitter(1, 2, 0.9, 0.5)
+    with pytest.raises(ValueError, match="non-unitary"):
+        g.run_elements_batch(3, networks)
+
+
+def test_stack_validation_rejects_one_bad_item():
+    m = np.zeros((5, 2, 2), dtype=complex)
+    a = np.zeros((5, 2, 2), dtype=complex)
+    a[:, 0, 1] = a[:, 1, 0] = 0.1
+    m[:, 0, 0] = m[:, 1, 1] = 0.1 * 0.1 / 0.9  # physical for every item ...
+    a[2, 0, 1] = a[2, 1, 0] = 0.5              # ... except the middle one
+    with pytest.raises(ValueError, match="physicality.*stack item 2"):
+        g.GaussianStates(2, m, a)
+    keep = [0, 1, 3, 4]
+    assert len(g.GaussianStates(2, m[keep], a[keep])) == 4

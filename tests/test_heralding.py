@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from icl import gaussian as g
 from icl import heralding as her
@@ -204,3 +206,70 @@ class TestPovmFringeHelper:
         value = her.mode_matched_conditional_mean(topo, 0.0, her.DetectorModel(1.0, 1e12))
         mm = her.mode_matched_moments(topo, 0.0)
         assert value == pytest.approx(mm.signal_mean, rel=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# Batched grids against the per-point functions
+# ---------------------------------------------------------------------------
+
+
+def _close(batched, single):
+    return abs(batched - single) <= 1e-12 * abs(single)
+
+
+def _assert_grid_matches_points(topos, phis):
+    mm = her.mode_matched_moments_grid(topos, phis)
+    for k, (topo, phi) in enumerate(zip(topos, phis)):
+        one = her.mode_matched_moments(topo, phi)
+        assert _close(mm.herald_mean[k], one.herald_mean)
+        assert _close(mm.signal_mean[k], one.signal_mean)
+        assert _close(mm.pair_corr[k], one.pair_corr)
+        assert _close(mm.exchange_corr[k], one.exchange_corr)
+    for topo, fr in zip(topos, her.heralded_fringes_mode_matched(topos)):
+        try:
+            one = her.heralded_fringe_mode_matched(topo)
+        except ValueError:
+            assert fr is None
+            continue
+        assert _close(fr.dc, one.dc)
+        assert _close(fr.amplitude, one.amplitude)
+        assert _close(fr.visibility, one.visibility)
+
+
+_GAIN = st.one_of(st.floats(0.0, 0.3), st.floats(1.0, 100.0))
+_TRANSMITTANCE = st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0))
+_POINT = st.tuples(_GAIN, _GAIN, _TRANSMITTANCE, st.floats(0.0, 100.0), st.floats(0.0, math.pi))
+
+
+@settings(max_examples=40, deadline=None)
+@given(points=st.lists(_POINT, min_size=1, max_size=12))
+def test_batched_grid_matches_points(points):
+    topos = [itf.two_spdc(v_a, v_b, T, n_b) for v_a, v_b, T, n_b, _ in points]
+    _assert_grid_matches_points(topos, [point[-1] for point in points])
+
+
+def test_batched_grid_across_chunks():
+    count = 2 * her.STACK_CHUNK + 17
+    rng = np.random.default_rng(11)
+    topos = [
+        itf.two_spdc(v_a, v_b, T, n_b)
+        for v_a, v_b, T, n_b in zip(
+            rng.uniform(0.0, 5.0, count),
+            rng.uniform(0.0, 5.0, count),
+            rng.uniform(0.0, 1.0, count),
+            rng.uniform(0.0, 10.0, count),
+        )
+    ]
+    _assert_grid_matches_points(topos, rng.uniform(0.0, math.pi, count))
+
+
+def test_dark_grid_points_are_nan_and_single_points_raise():
+    topos = [itf.two_spdc(0.1, 0.0, 0.0, 1.0), itf.two_spdc(0.1, 0.0, 0.5, 1.0)]
+    values = her.mode_matched_conditional_means(topos, [0.3, 0.3])
+    assert math.isnan(values[0]) and math.isfinite(values[1])
+    dark, lit = her.heralded_fringes_mode_matched(topos)
+    assert dark is None and lit is not None
+    with pytest.raises(ValueError, match="no herald"):
+        her.mode_matched_conditional_mean(topos[0], 0.3)
+    with pytest.raises(ValueError, match="no herald"):
+        her.heralded_fringe_mode_matched(topos[0])
