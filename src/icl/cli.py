@@ -20,10 +20,12 @@ from dataclasses import replace
 from importlib import resources
 from pathlib import Path
 
-from . import heralding, interferometer, metrics, svgplot, verify
+import numpy as np
+
+from . import closed_forms, heralding, interferometer, metrics, svgplot, verify
 from .config import ConfigError, RunConfig, load_run_config
-from .fock import ResourceLimitError, TruncationError
-from .interferometer import Topology, TopologyKind
+from .fock import OracleEnvelopeError, ResourceLimitError, TruncationError
+from .interferometer import TopologyKind
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -51,71 +53,68 @@ def write_csv(path: Path, header: list[str], rows: list[list[float]]) -> None:
     path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
 
 
-def _topology(cfg: RunConfig, T: float, n_b: float) -> Topology:
-    if cfg.kind is TopologyKind.TWO_SPDC:
-        return interferometer.two_spdc(cfg.v_a, cfg.v_b, T, n_b)
-    if cfg.kind is TopologyKind.TWO_SPDC_ATTENUATED:
-        return interferometer.two_spdc_attenuated(cfg.v_a, cfg.v_b, T, n_b, cfg.attenuation)
-    return interferometer.three_spdc(cfg.v_a, cfg.v_b, cfg.v_c, T, n_b)
-
-
 def cmd_fringe(cfg: RunConfig, out_dir: Path) -> int:
     if not isinstance(cfg.transmittance, float):
         raise ConfigError("fringe needs a scalar object.T")
     if len(cfg.n_b_values) != 1:
         raise ConfigError("fringe needs a single noise.N_B value")
-    T = cfg.transmittance
-    n_b = cfg.n_b_values[0]
-    topo = _topology(cfg, T, n_b)
+    T, n_b = cfg.transmittance, cfg.n_b_values[0]
+    v_c = cfg.v_c if cfg.kind is TopologyKind.THREE_SPDC else None
     detector = heralding.DetectorModel(cfg.eta, cfg.nu)
-    heralded_ok = cfg.kind is TopologyKind.TWO_SPDC
 
-    phis = [float(phi) for phi in cfg.phase_values()]
-    if heralded_ok:
+    phis = cfg.phase_values().tolist()
+    n_plus, n_minus = closed_forms.singles(
+        cfg.v_a, cfg.v_b, T, n_b, phis, v_c=v_c, kappa=cfg.attenuation
+    )
+    if cfg.kind is TopologyKind.TWO_SPDC:
+        topo = interferometer.two_spdc(cfg.v_a, cfg.v_b, T, n_b)
         heralded = heralding.mode_matched_conditional_means([topo] * len(phis), phis, detector)
     else:
-        heralded = [float("nan")] * len(phis)
-    rows = [
-        [phi, *interferometer.singles_fringe_analytic(topo, phi), float(conditional)]
-        for phi, conditional in zip(phis, heralded)
-    ]
-    write_csv(out_dir / "fringe.csv", ["phi", "n_plus", "n_minus", "n_plus_heralded"], rows)
+        heralded = np.full(len(phis), np.nan)
+    table = {"phi": phis, "n_plus": n_plus, "n_minus": n_minus, "n_plus_heralded": heralded}
+    _write_table(out_dir / "fringe.csv", table)
     return EXIT_OK
+
+
+def _write_table(path: Path, table: dict) -> dict[str, list[float]]:
+    """Write named columns as CSV rows; return them as lists of floats."""
+    table = {name: np.asarray(column, dtype=float).tolist() for name, column in table.items()}
+    write_csv(path, list(table), list(zip(*table.values())))
+    return table
+
+
+def _scan_grid(cfg: RunConfig) -> tuple[np.ndarray, np.ndarray, dict[float, slice]]:
+    """Flat T and N_B arrays in CSV row order, and the rows of each N_B."""
+    n_b, T = np.meshgrid(cfg.n_b_values, cfg.transmittance_values(), indexing="ij")
+    count = T.shape[1]
+    blocks = {float(v): slice(k * count, (k + 1) * count) for k, v in enumerate(cfg.n_b_values)}
+    return T.ravel(), n_b.ravel(), blocks
 
 
 def cmd_scan_visibility(cfg: RunConfig, out_dir: Path) -> int:
     if cfg.v_c is None:
         raise ConfigError("scan-visibility needs gain.V_C for the three-source column")
-    header = ["T", "N_B", "vis_2spdc", "vis_3spdc", "vis_atten_opt", "vis_heralded", "g1_bound"]
-    rows = []
-    per_background: dict[float, list[list[float]]] = {}
-    for n_b in cfg.n_b_values:
-        block = []
-        for T in cfg.transmittance_values():
-            T = float(T)
-            vis2 = metrics.visibility(interferometer.two_spdc(cfg.v_a, cfg.v_b, T, n_b))
-            vis3 = metrics.visibility(
-                interferometer.three_spdc(cfg.v_a, cfg.v_b, cfg.v_c, T, n_b)
-            )
-            atten = metrics.optimal_attenuated_visibility(T, cfg.v_a, n_b)
-            heralded = heralding.heralded_visibility_pair_limit(
-                interferometer.two_spdc(cfg.v_a, cfg.v_b, T, n_b)
-            )
-            bound = interferometer.g1_coherence(interferometer.two_spdc(cfg.v_a, cfg.v_b, T, n_b))
-            row = [T, float(n_b), vis2, vis3, atten, heralded, bound]
-            rows.append(row)
-            block.append(row)
-        per_background[float(n_b)] = block
-    write_csv(out_dir / "scan_visibility.csv", header, rows)
+    T, n_b, blocks = _scan_grid(cfg)
+    v_a, v_b = cfg.v_a, cfg.v_b
+    table = {
+        "T": T,
+        "N_B": n_b,
+        "vis_2spdc": [f.visibility for f in interferometer.fringes(v_a, v_b, T, n_b)],
+        "vis_3spdc": [f.visibility for f in interferometer.fringes(v_a, v_b, T, n_b, v_c=cfg.v_c)],
+        "vis_atten_opt": closed_forms.optimal_attenuated_visibility(v_a, T, n_b),
+        "vis_heralded": closed_forms.heralded_visibility_pair_limit(v_a, v_b, T),
+        "g1_bound": closed_forms.coherence_bound(v_a, T, n_b),
+    }
+    table = _write_table(out_dir / "scan_visibility.csv", table)
 
-    for n_b, block in per_background.items():
-        ts = [r[0] for r in block]
+    for n_b, rows in blocks.items():
+        ts = table["T"][rows]
         series = [
-            svgplot.Series("two-source", ts, [r[2] for r in block]),
-            svgplot.Series("three-source", ts, [r[3] for r in block]),
-            svgplot.Series("optimal attenuation", ts, [r[4] for r in block]),
-            svgplot.Series("heralded (pair)", ts, [r[5] for r in block]),
-            svgplot.Series("coherence bound", ts, [r[6] for r in block]),
+            svgplot.Series("two-source", ts, table["vis_2spdc"][rows]),
+            svgplot.Series("three-source", ts, table["vis_3spdc"][rows]),
+            svgplot.Series("optimal attenuation", ts, table["vis_atten_opt"][rows]),
+            svgplot.Series("heralded (pair)", ts, table["vis_heralded"][rows]),
+            svgplot.Series("coherence bound", ts, table["g1_bound"][rows]),
         ]
         svgplot.line_plot(
             out_dir / f"scan_visibility_nb{_fmt(n_b)}.svg",
@@ -128,39 +127,27 @@ def cmd_scan_visibility(cfg: RunConfig, out_dir: Path) -> int:
 
 
 def cmd_scan_snr(cfg: RunConfig, out_dir: Path) -> int:
-    header = ["T", "N_B", "snr_uncond", "snr_herald_pair", "snr_herald_general"]
-    t_values = [float(T) for T in cfg.transmittance_values()]
-    grid = [(T, float(n_b)) for n_b in cfg.n_b_values for T in t_values]
-    topos = [interferometer.two_spdc(cfg.v_a, cfg.v_b, T, n_b) for T, n_b in grid]
-    general = metrics.snr_heralded_general_grid(topos, 0.0)
-    rows = [
-        [
-            T,
-            n_b,
-            metrics.snr_unconditional(topo, 0.0).value,
-            metrics.snr_heralded(topo, 0.0, "pair").value,
-            herald_general,
-        ]
-        for (T, n_b), topo, herald_general in zip(grid, topos, general)
-    ]
-    count = len(t_values)
-    per_background = {
-        float(n_b): rows[k * count : (k + 1) * count] for k, n_b in enumerate(cfg.n_b_values)
+    T, n_b, blocks = _scan_grid(cfg)
+    v_a, v_b = cfg.v_a, cfg.v_b
+    topos = [interferometer.two_spdc(v_a, v_b, t, nb) for t, nb in zip(T.tolist(), n_b.tolist())]
+    table = {
+        "T": T,
+        "N_B": n_b,
+        "snr_uncond": closed_forms.snr_unconditional(v_a, v_b, T, n_b, 0.0),
+        "snr_herald_pair": closed_forms.snr_unconditional(v_a, v_b, T, 0.0, 0.0),
+        "snr_herald_general": metrics.snr_heralded_general_grid(topos, 0.0),
     }
-    write_csv(out_dir / "scan_snr.csv", header, rows)
+    table = _write_table(out_dir / "scan_snr.csv", table)
 
-    series = []
-    for n_b, block in per_background.items():
-        series.append(
-            svgplot.Series(f"uncond N_B={_fmt(n_b)}", [r[0] for r in block], [r[2] for r in block])
-        )
-    first = next(iter(per_background.values()))
-    series.append(
-        svgplot.Series("heralded pair", [r[0] for r in first], [r[3] for r in first])
-    )
+    series = [
+        svgplot.Series(f"uncond N_B={_fmt(n_b)}", table["T"][rows], table["snr_uncond"][rows])
+        for n_b, rows in blocks.items()
+    ]
+    first = next(iter(blocks.values()))
+    pair = svgplot.Series("heralded pair", table["T"][first], table["snr_herald_pair"][first])
     svgplot.line_plot(
         out_dir / "scan_snr.svg",
-        series,
+        [*series, pair],
         x_label="idler transmittance T",
         y_label="difference SNR",
         x_scale="log",
@@ -211,7 +198,7 @@ def main(argv: list[str] | None = None) -> int:
         out_dir = Path(out_name)
         out_dir.mkdir(parents=True, exist_ok=True)
         return _COMMANDS[args.command](cfg, out_dir)
-    except ConfigError as err:
+    except (ConfigError, OracleEnvelopeError) as err:
         print(f"config error: {err}", file=sys.stderr)
         return EXIT_CONFIG
     except (ResourceLimitError, TruncationError) as err:

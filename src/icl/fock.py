@@ -50,6 +50,10 @@ class TruncationError(RuntimeError):
     """The cutoff is too small for the requested network or inputs."""
 
 
+class OracleEnvelopeError(ValueError):
+    """A gain above MAX_ORACLE_GAIN or a background above MAX_ORACLE_THERMAL."""
+
+
 class ResourceLimitError(RuntimeError):
     """The truncated Hilbert space would exceed the dimension guard."""
 
@@ -213,7 +217,7 @@ def _validate_elements(cfg: FockConfig, elements: tuple[Element, ...]) -> Therma
             if el.n_bar < 0.0:
                 raise ValueError("thermal occupation must be >= 0")
             if el.n_bar > MAX_ORACLE_THERMAL:
-                raise ValueError(
+                raise OracleEnvelopeError(
                     f"thermal occupation {el.n_bar} exceeds the oracle bound "
                     f"{MAX_ORACLE_THERMAL}"
                 )
@@ -224,7 +228,7 @@ def _validate_elements(cfg: FockConfig, elements: tuple[Element, ...]) -> Therma
             modes = (el.mode,)
         elif isinstance(el, TwoModeSqueezer):
             if el.params.V > MAX_ORACLE_GAIN:
-                raise ValueError(
+                raise OracleEnvelopeError(
                     f"squeezer gain {el.params.V} exceeds the oracle bound {MAX_ORACLE_GAIN}"
                 )
             modes = (el.mode_signal, el.mode_idler)

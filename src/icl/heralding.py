@@ -31,7 +31,7 @@ from typing import Sequence
 
 import numpy as np
 
-from . import gaussian, interferometer
+from . import closed_forms, gaussian, interferometer
 from .gaussian import GaussianState, ModeId, ObjectPort
 from .interferometer import (
     MODE_IDLER,
@@ -43,7 +43,6 @@ from .interferometer import (
     _INV_SQRT2,
 )
 
-_CHECK_TOL = 1e-10
 _NO_HERALD = "no herald events: the herald mode is empty"
 
 # Grid points per stacked engine propagation: larger grids run chunk by
@@ -65,20 +64,7 @@ class DetectorModel:
             raise ValueError(f"dark-count mean must be >= 0, got {self.nu!r}")
 
 
-@dataclass(frozen=True)
-class HeraldedFringe:
-    """dc, amplitude, and contrast of the click-conditioned signal fringe."""
-
-    dc: float
-    amplitude: float
-    visibility: float
-
-    def __post_init__(self) -> None:
-        expected = self.amplitude / self.dc if self.dc > 0.0 else 0.0
-        if abs(self.visibility - expected) > 1e-12:
-            raise ValueError("visibility inconsistent with amplitude / dc")
-        if not (-1e-12 <= self.visibility <= 1.0 + 1e-12):
-            raise ValueError(f"heralded visibility {self.visibility!r} outside [0, 1]")
+HeraldedFringe = interferometer.FringeResult  # click-conditioned, same invariants
 
 
 def _number_product(state: GaussianState, mode_i: ModeId, mode_s: ModeId) -> float:
@@ -92,10 +78,9 @@ def _number_product(state: GaussianState, mode_i: ModeId, mode_s: ModeId) -> flo
 
 def conditional_mean_wick(state: GaussianState, mode_i: ModeId, mode_s: ModeId) -> float:
     """Click-conditioned signal mean <n_I n_S> / <n_I> for an ideal herald."""
-    n_i = gaussian.mean_photon_number(state, mode_i)
-    if n_i <= 0.0:
+    if gaussian.mean_photon_number(state, mode_i) <= 0.0:
         raise ValueError(_NO_HERALD)
-    return _number_product(state, mode_i, mode_s) / n_i
+    return conditional_mean_povm(state, mode_i, mode_s, DetectorModel(1.0))
 
 
 def conditional_mean_povm(
@@ -137,50 +122,6 @@ def _gains(topo: Topology | Sequence[Topology]) -> tuple:
     return tuple(np.array(values) for values in zip(*map(_gains, topo)))
 
 
-# Degenerate gains overflow to inf or nan here, silently, as the scalar
-# float forms always did; the checks then compare against those values.
-@np.errstate(all="ignore")
-def _closed_form_moments(topo: Topology | Sequence[Topology], phi) -> tuple:
-    """(herald mean, signal mean, |pair correlation|^2) closed forms, for one
-    topology and phase or elementwise over a sequence and a phase array."""
-    v_a, v_b, T = _gains(topo)
-    u_a = 1.0 + v_a
-    u_b = 1.0 + v_b
-    n_i = u_b * T * v_a + v_b
-    cos2 = np.cos(2.0 * np.asarray(phi))
-    root = np.sqrt(T * u_a * v_a * v_b)
-    n_s = 0.5 * (v_a + v_b + T * v_a * v_b) + root * cos2
-    corr_sq = 0.5 * u_b * T * u_a * (T * u_a * v_b + v_a + 2.0 * root * cos2)
-    return n_i, n_s, corr_sq
-
-
-@np.errstate(all="ignore")
-def _closed_form_fringe(topos: Sequence[Topology]) -> tuple:
-    """(herald mean, dc, amplitude) closed forms of the heralded fringe,
-    elementwise over topologies; dc and amplitude hold where <n_I> > 0."""
-    v_a, v_b, T = _gains(topos)
-    u_a, u_b = 1.0 + v_a, 1.0 + v_b
-    n_i = u_b * T * v_a + v_b
-    dc = 0.5 * (v_a + v_b + T * v_a * v_b) + 0.5 * u_b / n_i * (
-        v_b * (T * u_a) ** 2 + T * u_a * v_a
-    )
-    amplitude = np.sqrt(T * u_a * v_a * v_b) * (1.0 + u_b * T * u_a / n_i)
-    return n_i, dc, amplitude
-
-
-def _check_closed_forms(what: str, expected: tuple, got: tuple) -> None:
-    """Raise RuntimeError unless every grid point is within _CHECK_TOL
-    (relative, floor 1) of its closed form."""
-    for exp, value in zip(expected, got):
-        off = np.abs(exp - value) > _CHECK_TOL * np.maximum(1.0, np.abs(exp))
-        if off.any():
-            k = np.argmax(off)
-            raise RuntimeError(
-                f"{what} disagree with their closed forms: "
-                f"expected {float(exp[k])!r}, got {float(value[k])!r}"
-            )
-
-
 def _abs_squared(z: np.ndarray) -> np.ndarray:
     """|z|^2 rounded as the scalar ``abs(z) ** 2`` (hypot, then pow):
     ``np.abs`` and ``** 2`` on arrays can differ from it in the last bit."""
@@ -211,9 +152,9 @@ def _mode_matched_chunk(topos: Sequence[Topology], phis: Sequence[float]) -> tup
     pair_corr = sigma[:, MODE_IDLER, n + MODE_PLUS]       # <b_I b_S>
     exchange_corr = sigma[:, MODE_IDLER, MODE_PLUS]       # <b_I b_S^dag>
 
-    _check_closed_forms(
+    interferometer.check_closed_forms(
         "mode-matched engine moments",
-        _closed_form_moments(topos, phis),
+        closed_forms.herald_moments(*_gains(topos), np.asarray(phis)),
         (n_i, n_s, _abs_squared(pair_corr)),
     )
     return n_i, n_s, pair_corr, exchange_corr
@@ -262,10 +203,8 @@ def mode_matched_conditional_means(
     dark = mm.herald_mean <= 0.0
     herald_mean = np.where(dark, 1.0, mm.herald_mean)
     boost = _abs_squared(mm.pair_corr) + _abs_squared(mm.exchange_corr)
-    if det is None:
-        values = mm.signal_mean + boost / herald_mean
-    else:
-        values = mm.signal_mean + det.eta * boost / (det.eta * herald_mean + det.nu)
+    det = det or DetectorModel(1.0)  # eta = 1, nu = 0 is the ideal herald exactly
+    values = mm.signal_mean + det.eta * boost / (det.eta * herald_mean + det.nu)
     return np.where(dark, np.nan, values)
 
 
@@ -304,9 +243,9 @@ def heralded_fringes_mode_matched(
     rhs = np.where(dark[:, None], 0.0, values).T
     (dc, amplitude), *_ = np.linalg.lstsq(design, rhs, rcond=None)
 
-    n_i, exp_dc, exp_amp = _closed_form_fringe(topos)
+    n_i, exp_dc, exp_amp = closed_forms.heralded_fringe(*_gains(topos))
     checked = ~dark & (n_i > 0.0)
-    _check_closed_forms(
+    interferometer.check_closed_forms(
         "fitted heralded fringes",
         (exp_dc[checked], exp_amp[checked]),
         (dc[checked], amplitude[checked]),
@@ -338,10 +277,4 @@ def heralded_visibility_pair_limit(topo: Topology) -> float:
     thermal background by construction."""
     if topo.kind is not TopologyKind.TWO_SPDC:
         raise ValueError("pair-limit heralding is defined for the two-source layout")
-    v_a = topo.crystal_a.V
-    v_b = topo.crystal_b.V
-    T = topo.object_port.T
-    denom = v_a + v_b + T * v_a * v_b
-    if denom <= 0.0:
-        return 0.0
-    return 2.0 * math.sqrt(T * (1.0 + v_a) * v_a * v_b) / denom
+    return float(closed_forms.heralded_visibility_pair_limit(*_gains(topo)))

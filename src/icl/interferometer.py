@@ -25,7 +25,9 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
 
-from . import gaussian
+import numpy as np
+
+from . import closed_forms, gaussian
 from .gaussian import (
     BeamSplitter,
     Element,
@@ -166,37 +168,29 @@ def output_states(topos: Sequence[Topology], phis: Sequence[float]) -> GaussianS
 # ---------------------------------------------------------------------------
 
 
-def _arm_intensities(topo: Topology) -> tuple[float, float]:
-    """Mean photon numbers of the two signal arms just before the splitter."""
-    v_a = topo.crystal_a.V
-    v_b = topo.crystal_b.V
-    port = topo.object_port
-    n2 = v_b * (1.0 + port.T * v_a + (1.0 - port.T) * port.N_B)
-    if topo.kind is TopologyKind.TWO_SPDC:
-        return v_a, n2
-    if topo.kind is TopologyKind.TWO_SPDC_ATTENUATED:
-        return v_a, topo.attenuation * n2
-    v_c = topo.crystal_c.V
-    return (1.0 + v_c) * v_a + v_c, n2
+def check_closed_forms(what: str, expected: tuple, got: tuple) -> None:
+    """Raise RuntimeError unless each value is within 1e-10 (relative, floor 1)."""
+    for exp, value in zip(expected, got):
+        exp, value = np.atleast_1d(exp), np.atleast_1d(value)
+        off = np.abs(exp - value) > 1e-10 * np.maximum(1.0, np.abs(exp))
+        if off.any():
+            k = np.argmax(off)
+            raise RuntimeError(
+                f"{what} disagree with their closed forms: "
+                f"expected {float(exp[k])!r}, got {float(value[k])!r}"
+            )
 
 
-def _arm_coherence(topo: Topology) -> float:
-    """|<a_1^dag a_2>| between the signal arms just before the splitter."""
-    v_a = topo.crystal_a.V
-    v_b = topo.crystal_b.V
-    base = math.sqrt(topo.object_port.T * (1.0 + v_a) * v_a * v_b)
-    if topo.kind is TopologyKind.TWO_SPDC:
-        return base
-    if topo.kind is TopologyKind.TWO_SPDC_ATTENUATED:
-        return math.sqrt(topo.attenuation) * base
-    return math.sqrt(1.0 + topo.crystal_c.V) * base
+def _closed_form_params(topo: Topology) -> dict:
+    """Keyword arguments of the ``closed_forms`` layout functions."""
+    c, port = topo.crystal_c, topo.object_port
+    params = dict(v_a=topo.crystal_a.V, v_b=topo.crystal_b.V, T=port.T, n_b=port.N_B)
+    return dict(params, v_c=None if c is None else c.V, kappa=topo.attenuation)
 
 
 def singles_fringe_analytic(topo: Topology, phi: float) -> tuple[float, float]:
     """Closed-form singles intensities (n_plus, n_minus) at fringe phase phi."""
-    n1, n2 = _arm_intensities(topo)
-    cross = 2.0 * _arm_coherence(topo) * math.cos(2.0 * phi)
-    return 0.5 * (n1 + n2 + cross), 0.5 * (n1 + n2 - cross)
+    return tuple(map(float, closed_forms.singles(**_closed_form_params(topo), phi=phi)))
 
 
 def singles_fringe_engine(topo: Topology, phi: float) -> tuple[float, float]:
@@ -216,30 +210,23 @@ def pre_splitter_moments(topo: Topology) -> tuple[float, float, float]:
     """
     if topo.kind is not TopologyKind.TWO_SPDC:
         raise ValueError("pre-splitter moments are defined for the two-source layout")
-    n1, n2 = _arm_intensities(topo)
-    coh = _arm_coherence(topo)
+    expected = tuple(map(float, closed_forms.arm_moments(**_closed_form_params(topo))))
     state = output_state(topo, 0.0, through_splitter=False)
     got = (
         gaussian.mean_photon_number(state, MODE_SIGNAL_A),
         gaussian.mean_photon_number(state, MODE_SIGNAL_B),
         abs(gaussian.cross_moment(state, MODE_SIGNAL_A, MODE_SIGNAL_B, "normal")),
     )
-    for expected, value in zip((n1, n2, coh), got):
-        if abs(expected - value) > 1e-10 * max(1.0, abs(expected)):
-            raise RuntimeError(
-                f"engine moments {got} disagree with closed forms {(n1, n2, coh)}"
-            )
-    return n1, n2, coh
+    check_closed_forms("engine moments", expected, got)
+    return expected
 
 
 def g1_coherence(topo: Topology) -> float:
     """First-order coherence of the two signal arms; independent of V_B."""
     if topo.kind is not TopologyKind.TWO_SPDC:
         raise ValueError("the coherence bound is defined for the two-source layout")
-    v_a = topo.crystal_a.V
     port = topo.object_port
-    denom = 1.0 + port.T * v_a + (1.0 - port.T) * port.N_B
-    return math.sqrt(port.T * (1.0 + v_a) / denom)
+    return float(closed_forms.coherence_bound(topo.crystal_a.V, port.T, port.N_B))
 
 
 # ---------------------------------------------------------------------------
@@ -251,7 +238,7 @@ FRINGE_PHASES = (0.0, 0.25 * math.pi, 0.5 * math.pi)
 
 @dataclass(frozen=True)
 class FringeResult:
-    """dc offset, modulation amplitude, and contrast of a cos(2 phi) fringe."""
+    """dc, amplitude, and contrast of a cos(2 phi) singles or heralded fringe."""
 
     dc: float
     amplitude: float
@@ -265,14 +252,28 @@ class FringeResult:
         expected = self.amplitude / self.dc if self.dc > 0.0 else 0.0
         if abs(self.visibility - expected) > 1e-12:
             raise ValueError("visibility inconsistent with amplitude / dc")
+        if not (-1e-12 <= self.visibility <= 1.0 + 1e-12):
+            raise ValueError(f"fringe visibility {self.visibility!r} outside [0, 1]")
+
+
+def _fringe_results(n_0, n_half) -> list[FringeResult]:
+    """Checked n_plus fringes from samples at phi = 0 and pi/2, elementwise."""
+    dc = np.atleast_1d(0.5 * (n_0 + n_half))
+    amplitude = np.atleast_1d(0.5 * (n_0 - n_half))
+    visibility = np.divide(amplitude, dc, out=np.zeros_like(dc), where=dc > 0.0)
+    return list(map(FringeResult, dc.tolist(), amplitude.tolist(), visibility.tolist()))
+
+
+def fringes(v_a, v_b, T, n_b, *, v_c=None, kappa=None) -> list[FringeResult]:
+    """Closed-form n_plus fringes over broadcast parameters, flattened."""
+    n_0, n_half = (
+        closed_forms.singles(v_a, v_b, T, n_b, FRINGE_PHASES[k], v_c=v_c, kappa=kappa)[0]
+        for k in (0, 2)
+    )
+    return _fringe_results(n_0, n_half)
 
 
 def fringe(topo: Topology, *, use_engine: bool = False) -> FringeResult:
-    """Extract the n_plus fringe from the three sample phases."""
+    """Extract the n_plus fringe from the sample phases 0 and pi/2."""
     evaluate = singles_fringe_engine if use_engine else singles_fringe_analytic
-    n0 = evaluate(topo, FRINGE_PHASES[0])[0]
-    n2 = evaluate(topo, FRINGE_PHASES[2])[0]
-    dc = 0.5 * (n0 + n2)
-    amplitude = 0.5 * (n0 - n2)
-    visibility = amplitude / dc if dc > 0.0 else 0.0
-    return FringeResult(dc=dc, amplitude=amplitude, visibility=visibility)
+    return _fringe_results(*(evaluate(topo, FRINGE_PHASES[k])[0] for k in (0, 2)))[0]

@@ -10,11 +10,12 @@ root and is available through ``SnrResult.converted``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Literal, Sequence
 
-from . import heralding, interferometer
+from . import closed_forms, heralding, interferometer
+from .gaussian import ObjectPort, SqueezerParams
 from .interferometer import Topology, TopologyKind
 
 
@@ -46,18 +47,13 @@ def visibility(topo: Topology) -> float:
 
 
 def optimal_attenuated_visibility(T: float, v_a: float, n_b: float) -> float:
-    """Best contrast attainable by attenuating the B-signal arm.
+    """The coherence bound ``g1_coherence``; 0 when arm A is dark (V_A = 0).
 
-    Balancing the arm intensities saturates the coherence bound, so this
-    equals ``g1_coherence`` of the matching two-source layout.
-    """
-    if not (0.0 <= T <= 1.0):
-        raise ValueError(f"transmittance must lie in [0, 1], got {T!r}")
-    if v_a <= 0.0:
-        raise ValueError(f"gain must be positive, got {v_a!r}")
-    if n_b < 0.0:
-        raise ValueError(f"thermal occupation must be >= 0, got {n_b!r}")
-    return math.sqrt(T * (1.0 + v_a) / (1.0 + T * v_a + (1.0 - T) * n_b))
+    Attenuating the B-signal arm reaches it only where it can balance the arms,
+    N_2 = V_B (1 + T V_A + (1 - T) N_B) >= N_1 = V_A; elsewhere the best
+    attenuation is none (kappa -> 1) and ``visibility`` is the contrast."""
+    SqueezerParams(v_a), ObjectPort(T, n_b)  # the layout's own range checks raise here
+    return float(closed_forms.optimal_attenuated_visibility(v_a, T, n_b))
 
 
 def attenuation_search(
@@ -102,14 +98,9 @@ def snr_unconditional(
     """Unconditional difference SNR of the two-source layout."""
     if topo.kind is not TopologyKind.TWO_SPDC:
         raise ValueError("the unconditional SNR is defined for the two-source layout")
-    v_a = topo.crystal_a.V
-    v_b = topo.crystal_b.V
-    port = topo.object_port
-    denom = v_a + v_b + port.T * v_a * v_b + (1.0 - port.T) * port.N_B * v_b
-    if denom <= 0.0:
-        return SnrResult(0.0, SnrConvention.POWER_RATIO).converted(convention)
-    power = 4.0 * port.T * (1.0 + v_a) * v_a * v_b * math.cos(2.0 * phi) ** 2 / denom
-    return SnrResult(power, SnrConvention.POWER_RATIO).converted(convention)
+    v_a, v_b, port = topo.crystal_a.V, topo.crystal_b.V, topo.object_port
+    power = closed_forms.snr_unconditional(v_a, v_b, port.T, port.N_B, phi)
+    return SnrResult(float(power), SnrConvention.POWER_RATIO).converted(convention)
 
 
 def snr_heralded(
@@ -118,20 +109,16 @@ def snr_heralded(
     limit: Literal["general", "pair"] = "pair",
     convention: SnrConvention = SnrConvention.POWER_RATIO,
 ) -> SnrResult:
-    """Heralded difference SNR: pair limit, or general mode-matched form."""
+    """Heralded difference SNR: pair limit (the unconditional SNR without
+    background), or general mode-matched form."""
     if topo.kind is not TopologyKind.TWO_SPDC:
         raise ValueError("the heralded SNR is defined for the two-source layout")
-    cos_sq = math.cos(2.0 * phi) ** 2
     if limit == "pair":
-        v_a = topo.crystal_a.V
-        v_b = topo.crystal_b.V
-        T = topo.object_port.T
-        denom = v_a + v_b + T * v_a * v_b
-        power = 0.0 if denom <= 0.0 else 4.0 * T * (1.0 + v_a) * v_a * v_b * cos_sq / denom
-    elif limit == "general":
-        power = _general_power(heralding.heralded_fringe_mode_matched(topo), cos_sq)
-    else:
+        background_free = replace(topo, object_port=ObjectPort(topo.object_port.T, 0.0))
+        return snr_unconditional(background_free, phi, convention)
+    if limit != "general":
         raise ValueError(f"unknown heralded SNR limit {limit!r}")
+    power = _general_power(heralding.heralded_fringe_mode_matched(topo), math.cos(2.0 * phi) ** 2)
     return SnrResult(power, SnrConvention.POWER_RATIO).converted(convention)
 
 

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from icl import cli, heralding
+from icl import cli, closed_forms
 from icl.config import ConfigError, load_run_config, parse_config_text, run_config_from_mapping
 from icl.interferometer import TopologyKind
 
@@ -182,6 +182,17 @@ class TestScanVisibilityCommand:
         assert body.count("<polyline") == 5
 
 
+    def test_dark_arm_a_exits_0(self, tmp_path):
+        cfg = write_cfg(tmp_path, SCAN_CFG.replace("gain.V_A = 0.1", "gain.V_A = 0"))
+        out = tmp_path / "out"
+        assert cli.main(["scan-visibility", "--config", str(cfg), "--out", str(out)]) == 0
+        rows = np.loadtxt(out / "scan_visibility.csv", delimiter=",", skiprows=1)
+        assert rows.shape == (16, 7)
+        # arm A is dark: no fringe in any column but the coherence bound
+        assert np.all(rows[:, 2:6] == 0.0)
+        assert np.all(rows[:, 6] > 0.0)
+
+
 class TestScanSnrCommand:
     def test_columns_and_invariants(self, tmp_path):
         cfg = write_cfg(tmp_path, SCAN_CFG.replace("0, 10", "0, 1, 10"))
@@ -214,15 +225,15 @@ class TestScanSnrCommand:
         assert all(math.isfinite(float(v)) for (T, _), v in general.items() if T != "0")
 
     def test_grid_wide_closed_form_check_is_live(self, tmp_path, monkeypatch):
-        closed_form = heralding._closed_form_moments
+        closed_form = closed_forms.herald_moments
 
-        def skewed(topo, phi):
-            n_i, n_s, corr_sq = closed_form(topo, phi)
+        def skewed(v_a, v_b, T, phi):
+            n_i, n_s, corr_sq = closed_form(v_a, v_b, T, phi)
             n_s = np.array(n_s, dtype=float)
             n_s[-1] += 1e-6  # one grid point per propagated chunk
             return n_i, n_s, corr_sq
 
-        monkeypatch.setattr(heralding, "_closed_form_moments", skewed)
+        monkeypatch.setattr(closed_forms, "herald_moments", skewed)
         cfg = write_cfg(tmp_path, SCAN_CFG)
         with pytest.raises(RuntimeError, match="closed forms"):
             cli.main(["scan-snr", "--config", str(cfg), "--out", str(tmp_path / "out")])
@@ -258,6 +269,21 @@ oracle.seed = 3
     def test_resource_guard_exit_code(self, tmp_path):
         cfg = write_cfg(tmp_path, self.VERIFY_CFG.replace("oracle.cutoff = 12", "oracle.cutoff = 100"))
         assert cli.main(["verify", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 4
+
+
+    @pytest.mark.parametrize(
+        "old, new, bound",
+        [
+            ("gain.V_A = 0.1", "gain.V_A = 0.5", "squeezer gain 0.5"),
+            ("noise.N_B = 0", "noise.N_B = 2", "thermal occupation 2.0"),
+        ],
+    )
+    def test_outside_oracle_envelope_is_config_error(self, tmp_path, capsys, old, new, bound):
+        cfg = write_cfg(tmp_path, self.VERIFY_CFG.replace(old, new))
+        assert cli.main(["verify", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and bound in err
+        assert "Traceback" not in err
 
 
 class TestCliPlumbing:

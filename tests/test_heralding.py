@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from icl import closed_forms
 from icl import gaussian as g
 from icl import heralding as her
 from icl import interferometer as itf
@@ -101,7 +102,7 @@ class TestModeMatchedFringe:
         topo = itf.two_spdc(0.25, 0.08, 0.7, 40.0)
         phi = 0.9
         mm = her.mode_matched_moments(topo, phi)
-        n_i, n_s, corr_sq = her._closed_form_moments(topo, phi)
+        n_i, n_s, corr_sq = closed_forms.herald_moments(0.25, 0.08, 0.7, phi)
         assert mm.herald_mean == pytest.approx(n_i, abs=1e-10)
         assert mm.signal_mean == pytest.approx(n_s, abs=1e-10)
         assert abs(mm.pair_corr) ** 2 == pytest.approx(corr_sq, abs=1e-10)
