@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import closed_forms, heralding, interferometer, metrics, svgplot, verify
+from . import closed_forms, heralding, interferometer, svgplot, verify
 from .config import ConfigError, RunConfig, load_run_config
 from .fock import OracleEnvelopeError, ResourceLimitError, TruncationError
 from .interferometer import TopologyKind
@@ -31,6 +31,10 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_VERIFY = 3
 EXIT_RESOURCE = 4
+
+# Grid points per scan-snr or two-source fringe command that the moment
+# engine re-derives, as a live check of the closed-form heralded column.
+ENGINE_SAMPLE = 8
 
 
 def resolve_config_path(name: str) -> Path:
@@ -62,18 +66,30 @@ def cmd_fringe(cfg: RunConfig, out_dir: Path) -> int:
     v_c = cfg.v_c if cfg.kind is TopologyKind.THREE_SPDC else None
     detector = heralding.DetectorModel(cfg.eta, cfg.nu)
 
-    phis = cfg.phase_values().tolist()
+    phis = cfg.phase_values()
     n_plus, n_minus = closed_forms.singles(
         cfg.v_a, cfg.v_b, T, n_b, phis, v_c=v_c, kappa=cfg.attenuation
     )
     if cfg.kind is TopologyKind.TWO_SPDC:
+        heralded = closed_forms.heralded_signal_mean(cfg.v_a, cfg.v_b, T, phis, cfg.eta, cfg.nu)
+        sample = engine_sample(len(phis))
         topo = interferometer.two_spdc(cfg.v_a, cfg.v_b, T, n_b)
-        heralded = heralding.mode_matched_conditional_means([topo] * len(phis), phis, detector)
+        engine = heralding.mode_matched_conditional_means(
+            [topo] * len(sample), phis[sample], detector
+        )
+        interferometer.check_closed_forms("sampled heralded means", (heralded[sample],), (engine,))
     else:
         heralded = np.full(len(phis), np.nan)
     table = {"phi": phis, "n_plus": n_plus, "n_minus": n_minus, "n_plus_heralded": heralded}
     _write_table(out_dir / "fringe.csv", table)
     return EXIT_OK
+
+
+def engine_sample(count: int) -> np.ndarray:
+    """Indices of at most ENGINE_SAMPLE evenly strided points of a grid of
+    ``count`` points, the first and the last included."""
+    k = min(count, ENGINE_SAMPLE)
+    return np.arange(k) * (count - 1) // max(k - 1, 1)
 
 
 def _write_table(path: Path, table: dict) -> dict[str, list[float]]:
@@ -127,15 +143,30 @@ def cmd_scan_visibility(cfg: RunConfig, out_dir: Path) -> int:
 
 
 def cmd_scan_snr(cfg: RunConfig, out_dir: Path) -> int:
+    """Unconditional and heralded difference SNRs over the N_B x T grid.
+
+    Every column is a closed form over the whole grid.  The moment engine
+    re-derives ``snr_herald_general`` at the ``engine_sample`` points, from
+    its own fitted heralded fringes, and must agree to 1e-10."""
     T, n_b, blocks = _scan_grid(cfg)
     v_a, v_b = cfg.v_a, cfg.v_b
-    topos = [interferometer.two_spdc(v_a, v_b, t, nb) for t, nb in zip(T.tolist(), n_b.tolist())]
+    general = closed_forms.snr_heralded_general(v_a, v_b, T, 0.0)
+    sample = engine_sample(T.size)
+    points = zip(T[sample].tolist(), n_b[sample].tolist())
+    fitted = heralding.heralded_fringes_mode_matched(
+        [interferometer.two_spdc(v_a, v_b, t, nb) for t, nb in points]
+    )
+    engine = [
+        np.nan if fr is None else closed_forms.fringe_snr(fr.dc, fr.amplitude, 0.0)
+        for fr in fitted
+    ]
+    interferometer.check_closed_forms("sampled heralded SNRs", (general[sample],), (engine,))
     table = {
         "T": T,
         "N_B": n_b,
         "snr_uncond": closed_forms.snr_unconditional(v_a, v_b, T, n_b, 0.0),
         "snr_herald_pair": closed_forms.snr_unconditional(v_a, v_b, T, 0.0, 0.0),
-        "snr_herald_general": metrics.snr_heralded_general_grid(topos, 0.0),
+        "snr_herald_general": general,
     }
     table = _write_table(out_dir / "scan_snr.csv", table)
 

@@ -22,11 +22,21 @@ from pathlib import Path
 
 import numpy as np
 
+from .gaussian import reject_subnormal
 from .interferometer import TopologyKind
 
 
 class ConfigError(ValueError):
     """Malformed or inconsistent run configuration."""
+
+
+def _check_normal(key: str, values) -> None:
+    """ConfigError unless every value is 0 or a normal float."""
+    try:
+        for value in values:
+            reject_subnormal(key, value)
+    except ValueError as err:
+        raise ConfigError(str(err)) from err
 
 
 @dataclass(frozen=True)
@@ -132,6 +142,7 @@ def _as_float(mapping: dict[str, str], key: str, default: float | None = None) -
         raise ConfigError(f"{key}: not a number: {mapping[key]!r}") from err
     if not math.isfinite(value):
         raise ConfigError(f"{key}: not a finite number: {mapping[key]!r}")
+    _check_normal(key, (value,))
     return value
 
 
@@ -156,6 +167,7 @@ def _as_float_list(mapping: dict[str, str], key: str, default: tuple[float, ...]
         raise ConfigError(f"{key}: not a number list: {mapping[key]!r}") from err
     if not all(math.isfinite(v) for v in values):
         raise ConfigError(f"{key}: not a list of finite numbers: {mapping[key]!r}")
+    _check_normal(key, values)
     return values
 
 
@@ -209,6 +221,7 @@ def run_config_from_mapping(mapping: dict[str, str]) -> RunConfig:
     )
     if t_values.min() < 0.0 or t_values.max() > 1.0:
         raise ConfigError("object.T values must lie in [0, 1]")
+    _check_normal("object.T", t_values.tolist())
 
     n_b_values = _as_float_list(mapping, "noise.N_B", (0.0,))
     if any(n < 0.0 for n in n_b_values):

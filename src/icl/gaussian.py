@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 from typing import Iterable, Literal, Sequence, Union
 
@@ -38,6 +39,16 @@ ModeId = int
 
 SYMMETRY_TOL = 1e-12
 PHYSICALITY_TOL = 1e-9
+
+
+def reject_subnormal(what: str, value: float) -> None:
+    """Raise ValueError for a nonzero value below the smallest normal float.
+
+    Products of such inputs leave the moment engine's herald rates with a
+    few significant bits, so gains, transmittances and occupations must be
+    0 or normal numbers."""
+    if 0.0 < abs(value) < sys.float_info.min:
+        raise ValueError(f"{what} must be 0 or a normal float, got the subnormal {value!r}")
 
 
 @dataclass(frozen=True)
@@ -55,6 +66,7 @@ class SqueezerParams:
     def __post_init__(self) -> None:
         if not (math.isfinite(self.V) and self.V >= 0.0):
             raise ValueError(f"squeezer gain must be finite and >= 0, got {self.V!r}")
+        reject_subnormal("squeezer gain", self.V)
         if not math.isfinite(self.theta):
             raise ValueError(f"squeezer phase must be finite, got {self.theta!r}")
 
@@ -87,6 +99,8 @@ class ObjectPort:
             raise ValueError(f"transmittance must lie in [0, 1], got {self.T!r}")
         if not (math.isfinite(self.N_B) and self.N_B >= 0.0):
             raise ValueError(f"thermal occupation must be >= 0, got {self.N_B!r}")
+        reject_subnormal("transmittance", self.T)
+        reject_subnormal("thermal occupation", self.N_B)
 
     @property
     def R(self) -> float:

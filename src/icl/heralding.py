@@ -21,6 +21,12 @@ the contraction is not a unitary element.
 
 Both passes run over whole grids of (V_A, V_B, T, phi) points as stacked
 engine propagations; the single-point functions are their one-point case.
+
+This is the engine path.  The CLI's heralded columns come from
+``closed_forms`` over whole grids; each command sends a fixed sample of at
+most eight grid points through these functions and compares the results
+with the written column at 1e-10.  ``verify`` and the tests call them
+directly.
 """
 
 from __future__ import annotations

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Literal, Sequence
+from typing import Literal
 
 from . import closed_forms, heralding, interferometer
 from .gaussian import ObjectPort, SqueezerParams
@@ -110,7 +110,12 @@ def snr_heralded(
     convention: SnrConvention = SnrConvention.POWER_RATIO,
 ) -> SnrResult:
     """Heralded difference SNR: pair limit (the unconditional SNR without
-    background), or general mode-matched form."""
+    background), or general mode-matched form.
+
+    Both are closed forms; the general form is 2 amplitude^2 cos^2(2 phi) / dc
+    of ``closed_forms.heralded_fringe``, which the moment engine reproduces
+    (``heralding.heralded_fringe_mode_matched``).  Raises ValueError where
+    the herald mode is empty."""
     if topo.kind is not TopologyKind.TWO_SPDC:
         raise ValueError("the heralded SNR is defined for the two-source layout")
     if limit == "pair":
@@ -118,18 +123,8 @@ def snr_heralded(
         return snr_unconditional(background_free, phi, convention)
     if limit != "general":
         raise ValueError(f"unknown heralded SNR limit {limit!r}")
-    power = _general_power(heralding.heralded_fringe_mode_matched(topo), math.cos(2.0 * phi) ** 2)
+    v_a, v_b, T = topo.crystal_a.V, topo.crystal_b.V, topo.object_port.T
+    power = float(closed_forms.snr_heralded_general(v_a, v_b, T, phi))
+    if math.isnan(power):
+        raise ValueError(heralding._NO_HERALD)
     return SnrResult(power, SnrConvention.POWER_RATIO).converted(convention)
-
-
-def _general_power(fr: heralding.HeraldedFringe, cos_sq: float) -> float:
-    return 0.0 if fr.dc <= 0.0 else 2.0 * fr.amplitude**2 * cos_sq / fr.dc
-
-
-def snr_heralded_general_grid(topos: Sequence[Topology], phi: float) -> list[float]:
-    """Power-ratio general heralded SNR of every topology from one batched
-    engine pass; nan where the herald mode is empty (``snr_heralded``
-    raises there)."""
-    cos_sq = math.cos(2.0 * phi) ** 2
-    fringes = heralding.heralded_fringes_mode_matched(topos)
-    return [math.nan if fr is None else _general_power(fr, cos_sq) for fr in fringes]

@@ -102,6 +102,15 @@ class TestConfigParsing:
         cfg = write_cfg(tmp_path, "".join(f"{k} = {v}\n" for k, v in mapping.items()))
         assert cli.main(["fringe", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
 
+    def test_subnormal_numbers_rejected(self):
+        mapping = parse_config_text(FRINGE_CFG)
+        for key, value in (("gain.V_A", "1e-310"), ("object.T", "5e-324"), ("noise.N_B", "0, 1e-320")):
+            with pytest.raises(ConfigError, match="subnormal"):
+                run_config_from_mapping(mapping | {key: value})
+        sweep = {"object.T.min": "0", "object.T.max": "4e-308", "object.T.count": "3"}
+        with pytest.raises(ConfigError, match="object.T must be 0 or a normal float"):
+            run_config_from_mapping({"gain.V_A": "1", "gain.V_B": "1"} | sweep)
+
     def test_log_sweep_values(self):
         cfg = run_config_from_mapping(
             {
@@ -237,6 +246,66 @@ class TestScanSnrCommand:
         cfg = write_cfg(tmp_path, SCAN_CFG)
         with pytest.raises(RuntimeError, match="closed forms"):
             cli.main(["scan-snr", "--config", str(cfg), "--out", str(tmp_path / "out")])
+
+
+    def test_sampled_check_sees_the_written_column(self, tmp_path, monkeypatch):
+        # the skew reaches only the 16-point grid the CSV is written from,
+        # not the 8-point engine sample, so the command's own comparison fails
+        skew_last_grid_point(monkeypatch, "heralded_fringe", item=1, size=16)
+        cfg = write_cfg(tmp_path, SCAN_CFG)
+        with pytest.raises(RuntimeError, match="closed forms"):
+            cli.main(["scan-snr", "--config", str(cfg), "--out", str(tmp_path / "out")])
+
+    @pytest.mark.parametrize(
+        "command, text",
+        [
+            ("scan-snr", SCAN_CFG.replace("= 0.1\n", "= 1e-310\n")),
+            ("fringe", "gain.V_A = 1\ngain.V_B = 0\nobject.T = 5e-324\nphase.count = 16\n"),
+        ],
+        ids=["scan-snr-gains-1e-310", "fringe-T-5e-324"],
+    )
+    def test_subnormal_inputs_are_config_errors(self, tmp_path, capsys, command, text):
+        cfg = write_cfg(tmp_path, text)
+        assert cli.main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        assert "subnormal" in capsys.readouterr().err
+
+
+def skew_last_grid_point(monkeypatch, name, *, item, size):
+    """Add 1e-6 to output ``item`` of ``closed_forms.<name>`` at the last
+    point of every call that covers ``size`` points."""
+    closed_form = getattr(closed_forms, name)
+
+    def skewed(*args):
+        values = [np.array(v, dtype=float) for v in closed_form(*args)]
+        if values[item].size == size:
+            values[item][-1] += 1e-6
+        return tuple(values)
+
+    monkeypatch.setattr(closed_forms, name, skewed)
+
+
+class TestEngineSample:
+    @pytest.mark.parametrize(
+        "count, expected",
+        [
+            (1, [0]),
+            (2, [0, 1]),
+            (8, [0, 1, 2, 3, 4, 5, 6, 7]),
+            (9, [0, 1, 2, 3, 4, 5, 6, 8]),
+            (400, [0, 57, 114, 171, 228, 285, 342, 399]),
+        ],
+    )
+    def test_strided_first_and_last(self, count, expected):
+        picked = cli.engine_sample(count).tolist()
+        assert picked == expected == cli.engine_sample(count).tolist()
+        assert len(picked) <= cli.ENGINE_SAMPLE == 8
+        assert picked[0] == 0 and picked[-1] == count - 1
+
+    def test_fringe_check_sees_the_written_column(self, tmp_path, monkeypatch):
+        skew_last_grid_point(monkeypatch, "herald_moments", item=1, size=16)
+        cfg = write_cfg(tmp_path, FRINGE_CFG + "detector.eta = 0.5\ndetector.nu = 0.1\n")
+        with pytest.raises(RuntimeError, match="closed forms"):
+            cli.main(["fringe", "--config", str(cfg), "--out", str(tmp_path / "out")])
 
 
 class TestVerifyCommand:

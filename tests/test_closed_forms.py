@@ -3,6 +3,8 @@ point, the herald terms reproduce the expanded heralded fringe, and the
 documented limits of the optimal-attenuation column."""
 
 import math
+from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -79,6 +81,67 @@ class TestHeraldTerms:
     def test_pair_snr_is_unconditional_snr_without_background(self, n_b):
         heralded = met.snr_heralded(itf.two_spdc(0.1, 0.2, 0.4, n_b), 0.2, "pair")
         assert heralded == met.snr_unconditional(itf.two_spdc(0.1, 0.2, 0.4, 0.0), 0.2)
+
+
+def exact_heralded_fringe(v_a, v_b, T) -> tuple[float, float]:
+    """(dc, amplitude) in exact rational arithmetic on the float inputs,
+    rounded once: amplitude = sqrt(T u_a V_A V_B) (1 + u_b T u_a / n_I)."""
+    v_a, v_b, T = Fraction(v_a), Fraction(v_b), Fraction(T)
+    u_a, u_b = 1 + v_a, 1 + v_b
+    n_i = u_b * T * v_a + v_b
+    dc = (v_a + v_b + T * v_a * v_b) / 2 + u_b * T * u_a * (T * u_a * v_b + v_a) / (2 * n_i)
+    s1_sq = T * u_a * v_a * v_b
+    with localcontext() as ctx:
+        ctx.prec = 50
+        s1 = (Decimal(s1_sq.numerator) / Decimal(s1_sq.denominator)).sqrt()
+        factor = 1 + u_b * T * u_a / n_i
+        amplitude = s1 * Decimal(factor.numerator) / Decimal(factor.denominator)
+    return float(Decimal(dc.numerator) / Decimal(dc.denominator)), float(amplitude)
+
+
+# (V_A, V_B, T) at which the herald terms once underflowed: the product
+# V_A V_B under a square root, or c0 = O(T) against n_I = T at T = 5e-324.
+SUBNORMAL_POINTS = [
+    (2.2e-313, 2.2e-313, 1.0),
+    (2.2e-309, 5e-324, 1.0),
+    (5e-324, 2.2e-309, 0.5),
+    (1.0, 0.0, 5e-324),
+]
+# Normal inputs whose product V_A V_B underflows all the same.
+TINY_POINTS = [(1e-200, 1e-200, 1.0), (1e-160, 1e-170, 0.5)]
+
+
+class TestTinyInputs:
+    @pytest.mark.parametrize("v_a, v_b, T", SUBNORMAL_POINTS)
+    def test_validators_reject_subnormal_inputs(self, v_a, v_b, T):
+        with pytest.raises(ValueError, match="subnormal"):
+            itf.two_spdc(v_a, v_b, T)
+
+    @pytest.mark.parametrize("v_a, v_b, T", TINY_POINTS)
+    def test_heralded_fringe_is_exact_and_matches_the_engine(self, v_a, v_b, T):
+        _, dc, amplitude = cf.heralded_fringe(v_a, v_b, T)
+        assert (dc, amplitude) == pytest.approx(exact_heralded_fringe(v_a, v_b, T), rel=1e-12)
+        fitted = her.heralded_fringe_mode_matched(itf.two_spdc(v_a, v_b, T))
+        assert (fitted.dc, fitted.amplitude) == pytest.approx((dc, amplitude), rel=1e-10)
+
+    @pytest.mark.parametrize("v_a, v_b, T", TINY_POINTS)
+    def test_signal_mean_is_the_fringe_at_each_phase(self, v_a, v_b, T):
+        _, dc, amplitude = cf.heralded_fringe(v_a, v_b, T)
+        for phi in (0.0, 0.25 * math.pi, 0.5 * math.pi):
+            expected = dc + amplitude * math.cos(2.0 * phi)
+            assert cf.heralded_signal_mean(v_a, v_b, T, phi) == pytest.approx(expected, abs=1e-12)
+
+    def test_arm_coherence_takes_the_root_factor_by_factor(self):
+        _, _, coh = cf.arm_moments(1e-200, 1e-200, 1.0, 0.0)
+        assert coh == pytest.approx(1e-200, rel=1e-15)
+
+    def test_dark_herald_is_nan(self):
+        for v_a, v_b, T in ((0.3, 0.0, 0.0), (0.0, 0.0, 0.5)):
+            assert np.isnan(cf.heralded_fringe(v_a, v_b, T)[1:]).all()
+            assert np.isnan(cf.heralded_signal_mean(v_a, v_b, T, 0.0, 0.5, 0.1))
+            assert np.isnan(cf.snr_heralded_general(v_a, v_b, T, 0.0))
+        with pytest.raises(ValueError, match="no herald"):
+            met.snr_heralded(itf.two_spdc(0.3, 0.0, 0.0), 0.0, "general")
 
 
 class TestOptimalAttenuationLimits:

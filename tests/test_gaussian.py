@@ -190,7 +190,7 @@ def _op_strategy(n_modes: int):
     squeeze = st.tuples(
         st.just("tms"),
         pairs,
-        st.floats(min_value=0.0, max_value=0.2),
+        st.floats(min_value=0.0, max_value=0.2, allow_subnormal=False),
         st.floats(min_value=-math.pi, max_value=math.pi),
     )
     angle = st.floats(min_value=0.0, max_value=0.5 * math.pi)

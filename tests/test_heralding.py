@@ -237,9 +237,12 @@ def _assert_grid_matches_points(topos, phis):
         assert _close(fr.visibility, one.visibility)
 
 
-_GAIN = st.one_of(st.floats(0.0, 0.3), st.floats(1.0, 100.0))
-_TRANSMITTANCE = st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0))
-_POINT = st.tuples(_GAIN, _GAIN, _TRANSMITTANCE, st.floats(0.0, 100.0), st.floats(0.0, math.pi))
+# Gains, transmittances and occupations are 0 or normal floats: the
+# validators reject nonzero subnormals.
+_GAIN = st.one_of(st.floats(0.0, 0.3, allow_subnormal=False), st.floats(1.0, 100.0))
+_TRANSMITTANCE = st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0, allow_subnormal=False))
+_OCCUPATION = st.floats(0.0, 100.0, allow_subnormal=False)
+_POINT = st.tuples(_GAIN, _GAIN, _TRANSMITTANCE, _OCCUPATION, st.floats(0.0, math.pi))
 
 
 @settings(max_examples=40, deadline=None)

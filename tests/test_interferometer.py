@@ -193,10 +193,10 @@ class TestFringeExtraction:
 
     @settings(max_examples=60, deadline=None)
     @given(
-        v_a=st.floats(min_value=0.0, max_value=100.0),
-        v_b=st.floats(min_value=0.0, max_value=100.0),
-        T=st.floats(min_value=0.0, max_value=1.0),
-        n_b=st.floats(min_value=0.0, max_value=100.0),
+        v_a=st.floats(min_value=0.0, max_value=100.0, allow_subnormal=False),
+        v_b=st.floats(min_value=0.0, max_value=100.0, allow_subnormal=False),
+        T=st.floats(min_value=0.0, max_value=1.0, allow_subnormal=False),
+        n_b=st.floats(min_value=0.0, max_value=100.0, allow_subnormal=False),
     )
     def test_amplitude_below_dc(self, v_a, v_b, T, n_b):
         fr = itf.fringe(itf.two_spdc(v_a, v_b, T, n_b))
