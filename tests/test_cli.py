@@ -104,7 +104,8 @@ class TestConfigParsing:
 
     def test_subnormal_numbers_rejected(self):
         mapping = parse_config_text(FRINGE_CFG)
-        for key, value in (("gain.V_A", "1e-310"), ("object.T", "5e-324"), ("noise.N_B", "0, 1e-320")):
+        subnormal = {"gain.V_A": "1e-310", "object.T": "5e-324", "noise.N_B": "0, 1e-320"}
+        for key, value in subnormal.items():
             with pytest.raises(ConfigError, match="subnormal"):
                 run_config_from_mapping(mapping | {key: value})
         sweep = {"object.T.min": "0", "object.T.max": "4e-308", "object.T.count": "3"}
@@ -246,7 +247,6 @@ class TestScanSnrCommand:
         cfg = write_cfg(tmp_path, SCAN_CFG)
         with pytest.raises(RuntimeError, match="closed forms"):
             cli.main(["scan-snr", "--config", str(cfg), "--out", str(tmp_path / "out")])
-
 
     def test_sampled_check_sees_the_written_column(self, tmp_path, monkeypatch):
         # the skew reaches only the 16-point grid the CSV is written from,
