@@ -1,22 +1,27 @@
 """Brute-force verifier: exact truncated-Fock-space network simulation.
 
-Networks are the same element lists the moment engine consumes.  Gates are
-the exponentials of their truncated generators (scaling-and-squaring), so
-each element is exactly unitary on the truncated space and norm is
-conserved to machine precision; truncation shows up as occupation piling
-at the cutoff, which is guarded separately.
+Networks are the same element lists the moment engine consumes.  A two-mode
+gate conserves a photon number (n_a + n_b for a beam splitter, n_a - n_b for
+a two-mode squeezer), so its truncated generator is block-diagonal in that
+number; each block is exponentiated exactly through a Hermitian
+eigendecomposition.  Every element is therefore unitary on the truncated
+space and norm is conserved to machine precision; truncation shows up as
+occupation piling at the cutoff, which is guarded separately.
 
 A thermal input is handled by Monte-Carlo sampling of its coherent-state
 decomposition: a complex amplitude alpha with <|alpha|^2> = n_bar is drawn
 per sample and |alpha> enters the port, keeping every sample a pure state.
 Because the network is fixed across samples, the port's Fock basis states
-are propagated once and each observable reduces to a small quadratic form
-in the sampled coherent coefficients; this is numerically identical to
-propagating every sample through the network.
+are propagated once, as one stack through each gate, and each observable
+reduces to a small quadratic form in the sampled coherent coefficients;
+this is numerically identical to propagating every sample through the
+network.
 
 All results are deterministic given (seed, config): sample k draws from a
 generator seeded with (seed, k), independent of batching or evaluation
-order.
+order.  The draws depend on nothing else, so one set per (seed, samples,
+n_bar) is shared by every network that asks for it, such as the points of
+a verify grid and their lowered-cutoff companions.
 """
 
 from __future__ import annotations
@@ -27,7 +32,6 @@ from functools import lru_cache
 from typing import Iterator, Literal
 
 import numpy as np
-from scipy.linalg import expm
 
 from .gaussian import (
     BeamSplitter,
@@ -127,31 +131,44 @@ def annihilation_matrix(dim: int) -> np.ndarray:
 def two_mode_gate(element: Element, dim: int) -> np.ndarray:
     """Unitary of a two-mode element on the (dim*dim)-dimensional pair space.
 
-    The first kron factor is the element's first mode.
+    The first kron factor is the element's first mode.  The gate is the
+    exponential of the truncated generator, built block by block over the
+    number the element conserves: U = V exp(-i L) V^dag on each block, with
+    (L, V) the eigendecomposition of the Hermitian i * generator.
     """
     a = annihilation_matrix(dim)
     ad = a.conj().T
+    n_a, n_b = np.divmod(np.arange(dim * dim), dim)
     if isinstance(element, TwoModeSqueezer):
         p = element.params
         chi = math.asinh(math.sqrt(p.V))
         xi = chi * np.exp(1j * p.theta)
         gen = xi * np.kron(ad, ad) - np.conj(xi) * np.kron(a, a)
+        conserved = n_a - n_b
     elif isinstance(element, BeamSplitter):
         angle = math.atan2(element.r, element.t)
         gen = angle * (np.kron(ad, a) - np.kron(a, ad))
+        conserved = n_a + n_b
     else:
         raise TypeError(f"{element!r} is not a two-mode element")
-    return expm(gen)
+    gate = np.zeros_like(gen)
+    for value in np.unique(conserved):
+        block = np.ix_(*(np.flatnonzero(conserved == value),) * 2)
+        lam, vec = np.linalg.eigh(1j * gen[block])
+        gate[block] = (vec * np.exp(-1j * lam)) @ vec.conj().T
+    gate.flags.writeable = False
+    return gate
 
 
-def apply_element(psi: np.ndarray, element: Element, cutoff: int) -> np.ndarray:
-    """Apply one gate element to a state array of shape (dim,)*n_modes."""
+def _apply_to_stack(stack: np.ndarray, element: Element, cutoff: int) -> np.ndarray:
+    """Apply one gate element to every state of a (columns,) + (dim,)*n_modes
+    stack in one contraction; the norm-leak guard holds for each state."""
     dim = cutoff + 1
     if isinstance(element, PhaseShift):
         phase = np.exp(1j * element.phi * np.arange(dim))
-        shape = [1] * psi.ndim
-        shape[element.mode] = dim
-        return psi * phase.reshape(shape)
+        shape = [1] * stack.ndim
+        shape[element.mode + 1] = dim
+        return stack * phase.reshape(shape)
     if isinstance(element, TwoModeSqueezer):
         i, j = element.mode_signal, element.mode_idler
     elif isinstance(element, BeamSplitter):
@@ -159,16 +176,23 @@ def apply_element(psi: np.ndarray, element: Element, cutoff: int) -> np.ndarray:
     else:
         raise TypeError(f"cannot apply {element!r} as a gate")
     gate = two_mode_gate(element, dim)
-    moved = np.moveaxis(psi, (i, j), (0, 1))
+    moved = np.moveaxis(stack, (i + 1, j + 1), (0, 1))
     shape = moved.shape
-    flat = moved.reshape(dim * dim, -1)
-    flat = gate @ flat
-    out = flat.reshape(shape)
-    out = np.moveaxis(out, (0, 1), (i, j))
-    leak = abs(float(np.linalg.norm(out)) - float(np.linalg.norm(psi)))
+    out = (gate @ moved.reshape(dim * dim, -1)).reshape(shape)
+    out = np.moveaxis(out, (0, 1), (i + 1, j + 1))
+    columns = stack.shape[0]
+    leak = np.abs(
+        np.linalg.norm(out.reshape(columns, -1), axis=1)
+        - np.linalg.norm(stack.reshape(columns, -1), axis=1)
+    ).max()
     if leak > NORM_LEAK_TOL:
         raise TruncationError(f"norm leakage {leak:.3e} applying {element!r}")
     return out
+
+
+def apply_element(psi: np.ndarray, element: Element, cutoff: int) -> np.ndarray:
+    """Apply one gate element to a state array of shape (dim,)*n_modes."""
+    return _apply_to_stack(psi[np.newaxis], element, cutoff)[0]
 
 
 def top_level_mass(psi: np.ndarray) -> float:
@@ -181,20 +205,27 @@ def top_level_mass(psi: np.ndarray) -> float:
     return worst
 
 
+def _coherent_table(alphas: np.ndarray, dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row s: the truncated, renormalized coherent coefficients of
+    alphas[s]; and each row's exact truncation leak."""
+    coeffs = np.empty((alphas.size, dim), dtype=complex)
+    coeffs[:, 0] = 1.0
+    for n in range(1, dim):
+        coeffs[:, n] = coeffs[:, n - 1] * alphas / math.sqrt(n)
+    coeffs *= np.exp(-0.5 * np.abs(alphas) ** 2)[:, np.newaxis]
+    kept = np.sum(np.abs(coeffs) ** 2, axis=1)
+    leaks = np.maximum(0.0, 1.0 - kept)
+    return coeffs / np.sqrt(kept)[:, np.newaxis], leaks
+
+
 def coherent_coefficients(alpha: complex, dim: int) -> tuple[np.ndarray, float]:
     """Truncated coherent-state coefficients and the exact truncation leak.
 
     The returned vector is renormalized; the leak is 1 - |truncated|^2 of
     the exact (normalized) coherent state.
     """
-    coeffs = np.empty(dim, dtype=complex)
-    coeffs[0] = 1.0
-    for n in range(1, dim):
-        coeffs[n] = coeffs[n - 1] * alpha / math.sqrt(n)
-    coeffs *= math.exp(-0.5 * abs(alpha) ** 2)
-    kept = float(np.sum(np.abs(coeffs) ** 2))
-    leak = max(0.0, 1.0 - kept)
-    return coeffs / math.sqrt(kept), leak
+    coeffs, leaks = _coherent_table(np.array([alpha], dtype=complex), dim)
+    return coeffs[0], float(leaks[0])
 
 
 def sample_thermal_amplitude(seed: int, index: int, n_bar: float) -> complex:
@@ -203,6 +234,17 @@ def sample_thermal_amplitude(seed: int, index: int, n_bar: float) -> complex:
     sd = math.sqrt(0.5 * n_bar)
     re, im = rng.normal(0.0, sd, size=2)
     return complex(re, im)
+
+
+@lru_cache(maxsize=4)
+def _thermal_amplitudes(seed: int, mc_samples: int, n_bar: float) -> np.ndarray:
+    """``sample_thermal_amplitude(seed, k, n_bar)`` for k < mc_samples, drawn
+    once and shared (read-only) by every network with these settings."""
+    alphas = np.array(
+        [sample_thermal_amplitude(seed, k, n_bar) for k in range(mc_samples)], dtype=complex
+    )
+    alphas.flags.writeable = False
+    return alphas
 
 
 # ---------------------------------------------------------------------------
@@ -259,30 +301,22 @@ class _PreparedNetwork:
         gates = [el for el in elements if not isinstance(el, ThermalInput)]
 
         n_basis = dim if self.thermal is not None else 1
-        dims = (dim,) * cfg.n_modes
-        basis = np.zeros((n_basis,) + dims, dtype=complex)
+        basis = np.zeros((n_basis,) + (dim,) * cfg.n_modes, dtype=complex)
         for k in range(n_basis):
             idx = [0] * cfg.n_modes
             if self.thermal is not None:
                 idx[self.thermal.mode] = k
-            psi = np.zeros(dims, dtype=complex)
-            psi[tuple(idx)] = 1.0
-            for el in gates:
-                psi = apply_element(psi, el, cfg.cutoff)
-            basis[k] = psi
+            basis[(k, *idx)] = 1.0
+        for el in gates:
+            basis = _apply_to_stack(basis, el, cfg.cutoff)
         self.basis = basis
 
         if self.thermal is None:
             self.coeffs = np.ones((1, 1), dtype=complex)
             self.mean_prep_leak = 0.0
         else:
-            m = cfg.mc_samples
-            coeffs = np.empty((m, dim), dtype=complex)
-            leaks = np.empty(m)
-            for s in range(m):
-                alpha = sample_thermal_amplitude(cfg.seed, s, self.thermal.n_bar)
-                coeffs[s], leaks[s] = coherent_coefficients(alpha, dim)
-            self.coeffs = coeffs
+            alphas = _thermal_amplitudes(cfg.seed, cfg.mc_samples, self.thermal.n_bar)
+            self.coeffs, leaks = _coherent_table(alphas, dim)
             self.mean_prep_leak = float(np.mean(leaks))
             if guard_prep_leak and self.mean_prep_leak > MEAN_PREP_LEAK_TOL:
                 raise TruncationError(
@@ -341,7 +375,7 @@ class _PreparedNetwork:
     def per_sample(self, kind: MomentKind, i: int, j: int | None = None) -> np.ndarray:
         q = self.gram_matrix(kind, i, j)
         c = self.coeffs
-        return np.einsum("sk,kl,sl->s", c.conj(), q, c)
+        return ((c.conj() @ q) * c).sum(1)
 
     def sample_states(self) -> Iterator[np.ndarray]:
         for c in self.coeffs:

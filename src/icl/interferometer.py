@@ -169,10 +169,15 @@ def output_states(topos: Sequence[Topology], phis: Sequence[float]) -> GaussianS
 
 
 def check_closed_forms(what: str, expected: tuple, got: tuple) -> None:
-    """Raise RuntimeError unless each value is within 1e-10 (relative, floor 1)."""
+    """Raise RuntimeError unless each value is within 1e-10 (relative, floor 1).
+
+    A nan matches only a nan at the same index (a dark herald point on both
+    sides); a nan on one side is a disagreement.
+    """
     for exp, value in zip(expected, got):
         exp, value = np.atleast_1d(exp), np.atleast_1d(value)
         off = np.abs(exp - value) > 1e-10 * np.maximum(1.0, np.abs(exp))
+        off |= np.isnan(exp) != np.isnan(value)
         if off.any():
             k = np.argmax(off)
             raise RuntimeError(

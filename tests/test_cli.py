@@ -256,6 +256,13 @@ class TestScanSnrCommand:
         with pytest.raises(RuntimeError, match="closed forms"):
             cli.main(["scan-snr", "--config", str(cfg), "--out", str(tmp_path / "out")])
 
+    def test_sampled_check_sees_a_nan_on_one_side(self, tmp_path, monkeypatch):
+        # a nan dc at the last grid point only; the engine sample is finite there
+        skew_last_grid_point(monkeypatch, "heralded_fringe", item=1, size=16, shift=math.nan)
+        cfg = write_cfg(tmp_path, SCAN_CFG)
+        with pytest.raises(RuntimeError, match="closed forms"):
+            cli.main(["scan-snr", "--config", str(cfg), "--out", str(tmp_path / "out")])
+
     @pytest.mark.parametrize(
         "command, text",
         [
@@ -270,15 +277,15 @@ class TestScanSnrCommand:
         assert "subnormal" in capsys.readouterr().err
 
 
-def skew_last_grid_point(monkeypatch, name, *, item, size):
-    """Add 1e-6 to output ``item`` of ``closed_forms.<name>`` at the last
+def skew_last_grid_point(monkeypatch, name, *, item, size, shift=1e-6):
+    """Add ``shift`` to output ``item`` of ``closed_forms.<name>`` at the last
     point of every call that covers ``size`` points."""
     closed_form = getattr(closed_forms, name)
 
     def skewed(*args):
         values = [np.array(v, dtype=float) for v in closed_form(*args)]
         if values[item].size == size:
-            values[item][-1] += 1e-6
+            values[item][-1] += shift
         return tuple(values)
 
     monkeypatch.setattr(closed_forms, name, skewed)

@@ -1,7 +1,11 @@
 """Truncated-Fock oracle tests: gates, sampling, guards, and agreement with
 the moment engine on shared networks."""
 
+import cmath
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -197,6 +201,94 @@ class TestConditional:
         state = itf.output_state(topo, 0.3)
         expected = her.conditional_mean_wick(state, itf.MODE_IDLER, itf.MODE_PLUS)
         assert abs(got.value - expected) < tolerance(got)
+
+
+def truncated_generator(element, dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """The gate's generator on the truncated pair space, and the photon
+    number it conserves (n_a - n_b for a squeezer, n_a + n_b for a splitter)."""
+    a = np.diag(np.sqrt(np.arange(1.0, dim)), 1).astype(complex)
+    ad = a.conj().T
+    n_a, n_b = np.divmod(np.arange(dim * dim), dim)
+    if isinstance(element, g.TwoModeSqueezer):
+        xi = math.asinh(math.sqrt(element.params.V)) * cmath.exp(1j * element.params.theta)
+        return xi * np.kron(ad, ad) - xi.conjugate() * np.kron(a, a), n_a - n_b
+    angle = math.atan2(element.r, element.t)
+    return angle * (np.kron(ad, a) - np.kron(a, ad)), n_a + n_b
+
+
+GATES = [
+    g.TwoModeSqueezer(0, 1, g.SqueezerParams(0.3, 0.9)),
+    g.BeamSplitter(0, 1, math.cos(0.4), math.sin(0.4)),
+]
+
+
+class TestFastPath:
+    def test_shared_amplitudes_are_the_per_sample_draws(self):
+        alphas = fock._thermal_amplitudes(5, 300, 0.7)
+        assert alphas.shape == (300,)
+        for k, alpha in enumerate(alphas):
+            assert complex(alpha) == fock.sample_thermal_amplitude(5, k, 0.7)
+
+    def test_coefficient_table_matches_single_sample_loop(self):
+        alphas = fock._thermal_amplitudes(3, 200, 1.0)
+        dim = 13
+        coeffs, leaks = fock._coherent_table(alphas, dim)
+        loop_tol = 4 * dim * np.finfo(float).eps
+        for s, alpha in enumerate(alphas):
+            alpha = complex(alpha)
+            single, leak = fock.coherent_coefficients(alpha, dim)
+            np.testing.assert_allclose(coeffs[s], single, rtol=0, atol=1e-15)
+            assert abs(leaks[s] - leak) <= 1e-15
+            # the per-sample loop the table replaced; numpy's vector complex
+            # product may fuse multiply-adds where the scalar one does not
+            ref = np.empty(dim, dtype=complex)
+            ref[0] = 1.0
+            for n in range(1, dim):
+                ref[n] = ref[n - 1] * alpha / math.sqrt(n)
+            ref *= math.exp(-0.5 * abs(alpha) ** 2)
+            kept = float(np.sum(np.abs(ref) ** 2))
+            np.testing.assert_allclose(coeffs[s], ref / math.sqrt(kept), rtol=0, atol=loop_tol)
+            assert abs(leaks[s] - max(0.0, 1.0 - kept)) <= loop_tol
+
+    def test_batched_basis_matches_per_column_apply(self):
+        topo = itf.two_spdc(0.2, 0.15, 0.4, 0.5)
+        elements = itf.network_elements(topo, 0.7)
+        cfg = fock.FockConfig(cutoff=8, n_modes=4, mc_samples=50, seed=1)
+        run = fock._PreparedNetwork(cfg, elements)
+        thermal = next(el for el in elements if isinstance(el, g.ThermalInput))
+        for k in range(cfg.dim):
+            psi = np.zeros((cfg.dim,) * 4, dtype=complex)
+            idx = [0] * 4
+            idx[thermal.mode] = k
+            psi[tuple(idx)] = 1.0
+            for el in elements:
+                if not isinstance(el, g.ThermalInput):
+                    psi = fock.apply_element(psi, el, cfg.cutoff)
+            np.testing.assert_allclose(run.basis[k], psi, rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("element", GATES, ids=["squeezer", "splitter"])
+    def test_gate_is_unitary_and_number_conserving(self, element):
+        for dim in range(5, 22):
+            gate = fock.two_mode_gate(element, dim)
+            _, conserved = truncated_generator(element, dim)
+            np.testing.assert_allclose(gate @ gate.conj().T, np.eye(dim * dim), rtol=0, atol=1e-13)
+            assert np.all(gate[conserved[:, None] != conserved[None, :]] == 0.0)
+
+    @pytest.mark.parametrize("element", GATES, ids=["squeezer", "splitter"])
+    def test_gate_equals_expm_of_truncated_generator(self, element):
+        linalg = pytest.importorskip("scipy.linalg")
+        for dim in range(5, 22):
+            gen, _ = truncated_generator(element, dim)
+            expected = linalg.expm(gen)
+            assert np.abs(fock.two_mode_gate(element, dim) - expected).max() <= 1e-13
+
+    def test_package_import_leaves_scipy_out(self):
+        src = Path(fock.__file__).resolve().parents[1]
+        code = "import sys, icl, icl.cli; print(any(m.split('.')[0] == 'scipy' for m in sys.modules))"
+        out = subprocess.run(
+            [sys.executable, "-c", code], cwd=src, capture_output=True, text=True, check=True
+        )
+        assert out.stdout.strip() == "False"
 
 
 def matched_herald_elements(v_a, v_b, T, n_b, phi):

@@ -259,3 +259,17 @@ class TestVisibilityInvariants:
         best = int(np.argmax(values))
         assert 0 < best < len(grid) - 1
         assert grid[best] == pytest.approx(0.2, abs=0.02)
+
+
+class TestCheckClosedForms:
+    def test_nan_on_both_sides_passes(self):
+        itf.check_closed_forms("dark points", ([1.0, math.nan],), ([1.0, math.nan],))
+
+    @pytest.mark.parametrize(
+        "expected, got",
+        [([1.0, math.nan], [1.0, 2.0]), ([1.0, 2.0], [1.0, math.nan])],
+        ids=["nan-expected", "nan-got"],
+    )
+    def test_nan_on_one_side_raises(self, expected, got):
+        with pytest.raises(RuntimeError, match="closed forms"):
+            itf.check_closed_forms("values", (expected,), (got,))
