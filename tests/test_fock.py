@@ -5,6 +5,7 @@ import cmath
 import math
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -289,6 +290,130 @@ class TestFastPath:
             [sys.executable, "-c", code], cwd=src, capture_output=True, text=True, check=True
         )
         assert out.stdout.strip() == "False"
+
+
+def pair_major_reference(stack, element, gate):
+    """The dense product the block apply replaces: the gate times the stack
+    with the element's modes moved to the front."""
+    i, j = (
+        (element.mode_signal, element.mode_idler)
+        if isinstance(element, g.TwoModeSqueezer)
+        else (element.mode_a, element.mode_b)
+    )
+    dim = stack.shape[1]
+    moved = np.moveaxis(stack, (i + 1, j + 1), (0, 1))
+    out = (gate @ moved.reshape(dim * dim, -1)).reshape(moved.shape)
+    return np.moveaxis(out, (0, 1), (i + 1, j + 1))
+
+
+def random_stack(rng, columns, dim, n_modes):
+    shape = (columns,) + (dim,) * n_modes
+    stack = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    norms = np.linalg.norm(stack.reshape(columns, -1), axis=1)
+    return stack / norms.reshape((columns,) + (1,) * n_modes)
+
+
+BLOCK_APPLY_GATES = [
+    g.TwoModeSqueezer(0, 1, g.SqueezerParams(0.25, -1.3)),
+    g.TwoModeSqueezer(3, 1, g.SqueezerParams(0.1, 2.2)),
+    g.BeamSplitter(1, 0, math.cos(0.7), math.sin(0.7)),
+    g.BeamSplitter(0, 3, math.cos(1.1), math.sin(1.1)),
+    g.TwoModeSqueezer(0, 2, g.SqueezerParams(0.3, 0.0)),
+]
+
+
+class TestBlockKernels:
+    @pytest.mark.parametrize("element", GATES, ids=["squeezer", "splitter"])
+    def test_block_slices_partition_the_pair_index(self, element):
+        for dim in range(2, 22):
+            _, conserved = truncated_generator(element, dim)
+            slices = fock._pair_blocks(element, dim)
+            flat = np.concatenate([np.arange(dim * dim)[s] for s in slices])
+            assert np.array_equal(np.sort(flat), np.arange(dim * dim))
+            values = [np.unique(conserved[s]) for s in slices]
+            assert all(v.size == 1 for v in values)
+            assert len({int(v[0]) for v in values}) == len(slices) == 2 * dim - 1
+
+    @pytest.mark.parametrize(
+        "element", BLOCK_APPLY_GATES, ids=["sq01", "sq31", "bs10", "bs03", "sq02"]
+    )
+    def test_block_apply_equals_dense_gate(self, element):
+        rng = np.random.default_rng(5)
+        for dim, columns in ((2, 1), (5, 3), (7, 2)):
+            stack = random_stack(rng, columns, dim, 4)
+            gate = fock.two_mode_gate(element, dim)
+            got = fock._apply_to_stack(stack, element, dim - 1)
+            expected = pair_major_reference(stack, element, gate)
+            np.testing.assert_allclose(got, expected, rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize(
+        "element",
+        GATES + [g.TwoModeSqueezer(0, 1, g.SqueezerParams(0.05, -2.5)), g.BeamSplitter(0, 1, 0.6, 0.8)],
+        ids=["squeezer", "splitter", "squeezer-b", "splitter-b"],
+    )
+    def test_gate_equals_blockwise_eigh_of_truncated_generator(self, element):
+        for dim in range(2, 22):
+            gen, conserved = truncated_generator(element, dim)
+            expected = np.zeros_like(gen)
+            for value in np.unique(conserved):
+                block = np.ix_(*(np.flatnonzero(conserved == value),) * 2)
+                lam, vec = np.linalg.eigh(1j * gen[block])
+                expected[block] = (vec * np.exp(-1j * lam)) @ vec.conj().T
+            assert np.array_equal(fock.two_mode_gate(element, dim), expected)
+
+    def test_norm_leak_guard_is_live(self, monkeypatch):
+        element = GATES[0]
+        dim = 6
+        blocks = fock._gate_blocks(element, dim)
+        # the vacuum's block, n_a - n_b = 0, made slightly non-unitary
+        scaled = tuple(
+            (s, block * (1.0 + 1e-5) if s.start == 0 else block) for s, block in blocks
+        )
+        monkeypatch.setattr(fock, "_gate_blocks", lambda el, d: scaled)
+        stack = np.zeros((1, dim, dim), dtype=complex)
+        stack[0, 0, 0] = 1.0
+        with pytest.raises(fock.TruncationError, match="norm leakage"):
+            fock._apply_to_stack(stack, element, dim - 1)
+
+    def test_shifted_ladder_equals_dense_contraction(self):
+        rng = np.random.default_rng(8)
+        for dim in (2, 5, 9):
+            stack = random_stack(rng, 3, dim, 3)
+            a = np.diag(np.sqrt(np.arange(1, dim)), 1).astype(complex)
+            for mode in range(3):
+                dense = np.moveaxis(np.tensordot(a, stack, axes=([1], [mode + 1])), 0, mode + 1)
+                assert np.array_equal(fock._annihilated(stack, mode), dense)
+
+    def test_grams_match_tensordot_contraction(self):
+        topo = itf.two_spdc(0.2, 0.15, 0.4, 0.5)
+        cfg = fock.FockConfig(cutoff=6, n_modes=4, mc_samples=20, seed=3)
+        run = fock._PreparedNetwork(cfg, itf.network_elements(topo, 0.3), guard_prep_leak=False)
+        assert run.basis.flags.c_contiguous
+        a = np.diag(np.sqrt(np.arange(1, cfg.dim)), 1).astype(complex)
+
+        def lowered(stack, mode):
+            return np.moveaxis(np.tensordot(a, stack, axes=([1], [mode + 1])), 0, mode + 1)
+
+        axes = (1, 2, 3, 4)
+        i, j = itf.MODE_IDLER, itf.MODE_PLUS
+        normal = np.tensordot(lowered(run.basis, i).conj(), lowered(run.basis, j), axes=(axes, axes))
+        anomalous = np.tensordot(run.basis.conj(), lowered(lowered(run.basis, j), i), axes=(axes, axes))
+        np.testing.assert_allclose(run.gram_matrix("normal", i, j), normal, rtol=0, atol=1e-13)
+        np.testing.assert_allclose(run.gram_matrix("anomalous", i, j), anomalous, rtol=0, atol=1e-13)
+
+    def test_stack_size_guard_raises_before_allocating(self):
+        # (cutoff+1)^n_modes = 41^4 passes the config guard, but a thermal
+        # port's 41 basis columns would need 41^5 amplitudes (1.9 GB)
+        cfg = fock.FockConfig(cutoff=40, n_modes=4, mc_samples=100, seed=1)
+        elements = (g.ThermalInput(3, 0.5), g.BeamSplitter(0, 3, math.sqrt(0.5), math.sqrt(0.5)))
+        tracemalloc.start()
+        try:
+            with pytest.raises(fock.ResourceLimitError, match=r"115856201.*10000000"):
+                fock._PreparedNetwork(cfg, elements)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
 
 
 def matched_herald_elements(v_a, v_b, T, n_b, phi):
