@@ -246,8 +246,8 @@ def run_config_from_mapping(mapping: dict[str, str]) -> RunConfig:
     samples = _as_int(mapping, "oracle.samples", 10_000)
     if cutoff < 1:
         raise ConfigError("oracle.cutoff must be >= 1")
-    if samples < 1:
-        raise ConfigError("oracle.samples must be >= 1")
+    if samples < 2:
+        raise ConfigError("oracle.samples must be >= 2")
 
     return RunConfig(
         kind=kind,

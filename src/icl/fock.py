@@ -26,7 +26,8 @@ unitary.  The propagated basis is stored contiguous, so each observable's
 Gram matrix is one flat matmul over (columns, states) arrays, and a ladder
 operator is an index shift along its mode's axis.  A thermal port's stack
 holds cutoff+1 basis states, and is counted whole against the dimension
-guard before it is allocated.
+guard before it is allocated; so is its samples x (cutoff+1) table of
+coherent coefficients, before any amplitude is drawn.
 
 All results are deterministic given (seed, config): sample k draws from a
 generator seeded with (seed, k), independent of batching or evaluation
@@ -70,7 +71,8 @@ class OracleEnvelopeError(ValueError):
 
 
 class ResourceLimitError(RuntimeError):
-    """The truncated Hilbert space would exceed the dimension guard."""
+    """An oracle array (state, basis stack or sample table) would exceed the
+    dimension guard."""
 
 
 @dataclass(frozen=True)
@@ -78,7 +80,8 @@ class FockConfig:
     """Truncation and sampling settings for one oracle run.
 
     ``cutoff`` is the largest photon number kept per mode (inclusive);
-    ``mc_samples`` only matters when the network carries a thermal input.
+    ``mc_samples`` only matters when the network carries a thermal input,
+    and must be at least 2, so that every estimate has an error bar.
     """
 
     cutoff: int
@@ -91,8 +94,8 @@ class FockConfig:
             raise ValueError("cutoff must be >= 1")
         if self.n_modes < 1:
             raise ValueError("n_modes must be >= 1")
-        if self.mc_samples < 1:
-            raise ValueError("mc_samples must be >= 1")
+        if self.mc_samples < 2:
+            raise ValueError("mc_samples must be >= 2: one sample has no error bar")
         if (self.cutoff + 1) ** self.n_modes > MAX_DIMENSION:
             raise ResourceLimitError(
                 f"(cutoff+1)^n_modes = {(self.cutoff + 1) ** self.n_modes} "
@@ -376,6 +379,11 @@ class _PreparedNetwork:
                 f"{n_basis} basis columns x (cutoff+1)^n_modes = {amplitudes} amplitudes "
                 f"exceed the {MAX_DIMENSION} dimension guard"
             )
+        if self.thermal is not None and cfg.mc_samples * dim > MAX_DIMENSION:
+            raise ResourceLimitError(
+                f"{cfg.mc_samples} samples x (cutoff+1) = {cfg.mc_samples * dim} coherent "
+                f"coefficients exceed the {MAX_DIMENSION} dimension guard"
+            )
         basis = np.zeros((n_basis,) + (dim,) * cfg.n_modes, dtype=complex)
         for k in range(n_basis):
             idx = [0] * cfg.n_modes
@@ -485,7 +493,7 @@ def simulate_network(cfg: FockConfig, elements: tuple[Element, ...]) -> Iterator
 def _statistical_error(values: np.ndarray) -> float:
     mean = values.mean()
     m = values.size
-    spread = float(np.sum(np.abs(values - mean) ** 2) / (m - 1)) if m > 1 else 0.0
+    spread = float(np.sum(np.abs(values - mean) ** 2) / (m - 1))
     return math.sqrt(spread / m)
 
 
@@ -524,9 +532,9 @@ def _conditional_ratio(run: _PreparedNetwork, mode_i: int, mode_s: int) -> tuple
     if den_mean <= 0.0:
         raise ValueError("zero herald rate: the herald mode is empty")
     ratio = float(num.mean()) / den_mean
-    m = num.size
-    if m < 2:
+    if run.deterministic:
         return ratio, 0.0
+    m = num.size
     cov = np.cov(np.vstack([num, den]), ddof=1)
     var = (cov[0, 0] - 2.0 * ratio * cov[0, 1] + ratio**2 * cov[1, 1]) / (m * den_mean**2)
     return ratio, math.sqrt(max(0.0, var))

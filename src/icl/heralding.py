@@ -19,14 +19,16 @@ object port acts as a raw amplitude contraction of the idler (no ancilla
 admixture).  The filtered pass runs on raw stacked-moment matrices since
 the contraction is not a unitary element.
 
-Both passes run over whole grids of (V_A, V_B, T, phi) points as stacked
-engine propagations; the single-point functions are their one-point case.
+Both passes run over a whole grid of (V_A, V_B, T, phi) points as one
+stacked engine propagation each.  The conditional mean is exactly
+dc + amplitude * cos(2 phi), so each heralded fringe is read, as the singles
+fringes are in ``interferometer``, from its values at phi = 0 and pi/2.
 
 This is the engine path.  The CLI's heralded columns come from
 ``closed_forms`` over whole grids; each command sends a fixed sample of at
-most eight grid points through these functions and compares the results
-with the written column at 1e-10.  ``verify`` and the tests call them
-directly.
+most eight grid points through these functions (at most sixteen engine
+points) and compares the results with the written column at 1e-10.
+``verify`` and the tests call them directly.
 """
 
 from __future__ import annotations
@@ -50,10 +52,6 @@ from .interferometer import (
 )
 
 _NO_HERALD = "no herald events: the herald mode is empty"
-
-# Grid points per stacked engine propagation: larger grids run chunk by
-# chunk, which bounds the working memory at no cost in speed.
-STACK_CHUNK = 128
 
 
 @dataclass(frozen=True)
@@ -112,13 +110,12 @@ def conditional_mean_povm(
 
 @dataclass(frozen=True)
 class ModeMatchedMoments:
-    """Ingredients of the conditional fringe at one phase; arrays over the
-    grid when returned by ``mode_matched_moments_grid``."""
+    """Ingredients of the conditional fringe, as arrays over the grid."""
 
-    herald_mean: float            # <n_I>
-    signal_mean: float            # <n_S>(phi)
-    pair_corr: complex            # <b_I b_S>(phi)
-    exchange_corr: complex        # <b_I b_S^dag>(phi); zero in this geometry
+    herald_mean: np.ndarray       # <n_I>
+    signal_mean: np.ndarray       # <n_S>(phi)
+    pair_corr: np.ndarray         # <b_I b_S>(phi)
+    exchange_corr: np.ndarray     # <b_I b_S^dag>(phi); zero in this geometry
 
 
 def _gains(topo: Topology | Sequence[Topology]) -> tuple:
@@ -134,8 +131,21 @@ def _abs_squared(z: np.ndarray) -> np.ndarray:
     return np.float_power(np.hypot(z.real, z.imag), 2.0)
 
 
-def _mode_matched_chunk(topos: Sequence[Topology], phis: Sequence[float]) -> tuple:
-    """Unitary and filtered stacked passes over one chunk of grid points."""
+def mode_matched_moments_grid(
+    topos: Sequence[Topology], phis: Sequence[float]
+) -> ModeMatchedMoments:
+    """Engine mode-matched herald/signal moments at every grid point
+    (topos[k], phis[k]), as arrays over the grid.
+
+    Two stacked passes through the moment engine: a unitary pass with the
+    background port in vacuum for the intensities, and a filtered pass with
+    the object port as a raw idler contraction for the correlations.  Every
+    point is verified against the closed forms.
+    """
+    if len(topos) != len(phis):
+        raise ValueError("the grid needs one phase per topology")
+    if any(t.kind is not TopologyKind.TWO_SPDC for t in topos):
+        raise ValueError("mode-matched heralding is defined for the two-source layout")
     clean = [replace(t, object_port=ObjectPort(t.object_port.T, 0.0)) for t in topos]
     states = interferometer.output_states(clean, phis)
     n_s = states.mean_photon_numbers(MODE_PLUS)
@@ -163,41 +173,7 @@ def _mode_matched_chunk(topos: Sequence[Topology], phis: Sequence[float]) -> tup
         closed_forms.herald_moments(*_gains(topos), np.asarray(phis)),
         (n_i, n_s, _abs_squared(pair_corr)),
     )
-    return n_i, n_s, pair_corr, exchange_corr
-
-
-def mode_matched_moments_grid(
-    topos: Sequence[Topology], phis: Sequence[float]
-) -> ModeMatchedMoments:
-    """Engine mode-matched herald/signal moments at every grid point
-    (topos[k], phis[k]), as arrays over the grid.
-
-    Two stacked passes through the moment engine: a unitary pass with the
-    background port in vacuum for the intensities, and a filtered pass with
-    the object port as a raw idler contraction for the correlations.  The
-    grid runs in chunks of STACK_CHUNK points, and every point is verified
-    against the closed forms.
-    """
-    if len(topos) != len(phis):
-        raise ValueError("the grid needs one phase per topology")
-    if any(t.kind is not TopologyKind.TWO_SPDC for t in topos):
-        raise ValueError("mode-matched heralding is defined for the two-source layout")
-    chunks = [
-        _mode_matched_chunk(topos[k : k + STACK_CHUNK], phis[k : k + STACK_CHUNK])
-        for k in range(0, len(topos), STACK_CHUNK)
-    ]
-    return ModeMatchedMoments(*(np.concatenate(parts) for parts in zip(*chunks)))
-
-
-def mode_matched_moments(topo: Topology, phi: float) -> ModeMatchedMoments:
-    """Engine mode-matched moments at one point of ``mode_matched_moments_grid``."""
-    mm = mode_matched_moments_grid([topo], [phi])
-    return ModeMatchedMoments(
-        float(mm.herald_mean[0]),
-        float(mm.signal_mean[0]),
-        complex(mm.pair_corr[0]),
-        complex(mm.exchange_corr[0]),
-    )
+    return ModeMatchedMoments(n_i, n_s, pair_corr, exchange_corr)
 
 
 def mode_matched_conditional_means(
@@ -214,65 +190,35 @@ def mode_matched_conditional_means(
     return np.where(dark, np.nan, values)
 
 
-def mode_matched_conditional_mean(
-    topo: Topology, phi: float, det: DetectorModel | None = None
-) -> float:
-    """Conditional signal mean of the mode-matched fringe at one phase."""
-    (value,) = mode_matched_conditional_means([topo], [phi], det)
-    if math.isnan(value):
-        raise ValueError(_NO_HERALD)
-    return float(value)
-
-
-DEFAULT_PHI_GRID = interferometer.FRINGE_PHASES
-
-
-def heralded_fringes_mode_matched(
-    topos: Sequence[Topology], phi_grid: tuple[float, ...] = DEFAULT_PHI_GRID
-) -> list[HeraldedFringe | None]:
+def heralded_fringes_mode_matched(topos: Sequence[Topology]) -> list[HeraldedFringe | None]:
     """Heralded fringe of every topology from one batched engine pass, None
     where the herald mode is empty.
 
-    Every topology is evaluated at every grid phase through
-    ``mode_matched_conditional_means``; dc and amplitude of all of them come
-    from one least-squares fit and are verified against their closed forms.
+    Every topology is evaluated at the two fringe phases of
+    ``interferometer.FRINGE_PHASES`` through ``mode_matched_conditional_means``;
+    dc and amplitude are verified against their closed forms.
     """
-    phis = np.asarray(phi_grid, dtype=float)
-    cos2 = np.cos(2.0 * phis)
-    if phis.size < 2 or abs(cos2.max() - cos2.min()) < 1e-9:
-        raise ValueError("phase grid must sample at least two distinct cos(2 phi) values")
-    grid = [t for t in topos for _ in phis]
-    values = mode_matched_conditional_means(grid, np.tile(phis, len(topos)))
-    values = values.reshape(len(topos), phis.size)
+    phases = interferometer.FRINGE_PHASES
+    grid = [t for t in topos for _ in phases]
+    values = mode_matched_conditional_means(grid, np.tile(phases, len(topos)))
+    values = values.reshape(len(topos), len(phases))
     dark = np.isnan(values).any(axis=1)
-    design = np.column_stack([np.ones_like(cos2), cos2])
-    rhs = np.where(dark[:, None], 0.0, values).T
-    (dc, amplitude), *_ = np.linalg.lstsq(design, rhs, rcond=None)
+    lit = interferometer._fringe_results(*values[~dark].T)
 
-    n_i, exp_dc, exp_amp = closed_forms.heralded_fringe(*_gains(topos))
-    checked = ~dark & (n_i > 0.0)
+    n_i, exp_dc, exp_amp = (a[~dark] for a in closed_forms.heralded_fringe(*_gains(topos)))
+    checked = n_i > 0.0
+    got = np.array([(fr.dc, fr.amplitude) for fr in lit]).reshape(-1, 2)[checked]
     interferometer.check_closed_forms(
-        "fitted heralded fringes",
-        (exp_dc[checked], exp_amp[checked]),
-        (dc[checked], amplitude[checked]),
+        "engine heralded fringes", (exp_dc[checked], exp_amp[checked]), tuple(got.T)
     )
-    visibility = np.divide(amplitude, dc, out=np.zeros_like(dc), where=dc > 0.0)
-    return [
-        None if is_dark else HeraldedFringe(float(d), float(a), float(v))
-        for is_dark, d, a, v in zip(dark, dc, amplitude, visibility)
-    ]
+    fringes = iter(lit)
+    return [None if is_dark else next(fringes) for is_dark in dark]
 
 
-def heralded_fringe_mode_matched(
-    topo: Topology, phi_grid: tuple[float, ...] = DEFAULT_PHI_GRID
-) -> HeraldedFringe:
-    """Conditional fringe of the "+" output heralded on the idler output.
-
-    The conditional mean is exactly dc + amplitude * cos(2 phi); the grid
-    must therefore contain at least two phases with distinct cos(2 phi).
-    The fitted dc and amplitude are verified against their closed forms.
-    """
-    (fringe,) = heralded_fringes_mode_matched([topo], phi_grid)
+def heralded_fringe_mode_matched(topo: Topology) -> HeraldedFringe:
+    """Conditional fringe of the "+" output heralded on the idler output,
+    verified against its closed forms."""
+    (fringe,) = heralded_fringes_mode_matched([topo])
     if fringe is None:
         raise ValueError(_NO_HERALD)
     return fringe

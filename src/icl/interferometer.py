@@ -14,8 +14,10 @@ explicit phase element exp(i 2 phi) on the B-signal arm.
 
 Each singles quantity is available twice: as a closed-form expression and
 as a readout of the moment engine propagating the element list.  Fringes
-are of the form dc + amplitude * cos(2 phi) exactly, so they are pinned by
-three sample phases {0, pi/4, pi/2}.
+are of the form dc + amplitude * cos(2 phi) exactly, so they are read from
+their values at the two phases FRINGE_PHASES = (0, pi/2): dc is the mean of
+the two, amplitude half their difference.  ``heralding`` reads its heralded
+fringes the same way.
 """
 
 from __future__ import annotations
@@ -238,7 +240,7 @@ def g1_coherence(topo: Topology) -> float:
 # Fringe extraction
 # ---------------------------------------------------------------------------
 
-FRINGE_PHASES = (0.0, 0.25 * math.pi, 0.5 * math.pi)
+FRINGE_PHASES = (0.0, 0.5 * math.pi)
 
 
 @dataclass(frozen=True)
@@ -262,7 +264,7 @@ class FringeResult:
 
 
 def _fringe_results(n_0, n_half) -> list[FringeResult]:
-    """Checked n_plus fringes from samples at phi = 0 and pi/2, elementwise."""
+    """Checked fringes from their values at FRINGE_PHASES, elementwise."""
     dc = np.atleast_1d(0.5 * (n_0 + n_half))
     amplitude = np.atleast_1d(0.5 * (n_0 - n_half))
     visibility = np.divide(amplitude, dc, out=np.zeros_like(dc), where=dc > 0.0)
@@ -272,13 +274,12 @@ def _fringe_results(n_0, n_half) -> list[FringeResult]:
 def fringes(v_a, v_b, T, n_b, *, v_c=None, kappa=None) -> list[FringeResult]:
     """Closed-form n_plus fringes over broadcast parameters, flattened."""
     n_0, n_half = (
-        closed_forms.singles(v_a, v_b, T, n_b, FRINGE_PHASES[k], v_c=v_c, kappa=kappa)[0]
-        for k in (0, 2)
+        closed_forms.singles(v_a, v_b, T, n_b, phi, v_c=v_c, kappa=kappa)[0]
+        for phi in FRINGE_PHASES
     )
     return _fringe_results(n_0, n_half)
 
 
-def fringe(topo: Topology, *, use_engine: bool = False) -> FringeResult:
-    """Extract the n_plus fringe from the sample phases 0 and pi/2."""
-    evaluate = singles_fringe_engine if use_engine else singles_fringe_analytic
-    return _fringe_results(*(evaluate(topo, FRINGE_PHASES[k])[0] for k in (0, 2)))[0]
+def fringe(topo: Topology) -> FringeResult:
+    """Closed-form n_plus fringe of one topology."""
+    return fringes(**_closed_form_params(topo))[0]

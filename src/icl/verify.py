@@ -53,42 +53,21 @@ def two_spdc_checks(
     state = interferometer.output_state(topo, phi)
     tag = f"T={T:g} N_B={n_b:g} phi={phi:g}"
 
-    results = []
-    for label, mode in (("n_plus", MODE_PLUS), ("n_minus", MODE_MINUS), ("n_idler", MODE_IDLER)):
-        est = fock.oracle_moment(cfg, elements, "mean", mode)
-        results.append(
-            _check(f"{label} [{tag}]", gaussian.mean_photon_number(state, mode), est, tolerance_scale)
-        )
-    est = fock.oracle_moment(cfg, elements, "normal", MODE_IDLER, MODE_PLUS)
-    results.append(
-        _check(
-            f"normal_idler_plus [{tag}]",
-            gaussian.cross_moment(state, MODE_IDLER, MODE_PLUS, "normal"),
-            est,
-            tolerance_scale,
-        )
+    mean, cross = gaussian.mean_photon_number, gaussian.cross_moment
+    i, s = MODE_IDLER, MODE_PLUS
+    rows = (
+        ("n_plus", mean(state, s), fock.oracle_moment(cfg, elements, "mean", s)),
+        ("n_minus", mean(state, MODE_MINUS), fock.oracle_moment(cfg, elements, "mean", MODE_MINUS)),
+        ("n_idler", mean(state, i), fock.oracle_moment(cfg, elements, "mean", i)),
+        ("normal_idler_plus", cross(state, i, s, "normal"),
+         fock.oracle_moment(cfg, elements, "normal", i, s)),
+        ("anomalous_idler_plus", cross(state, i, s, "anomalous"),
+         fock.oracle_moment(cfg, elements, "anomalous", i, s)),
+        ("conditional_mean", heralding.conditional_mean_wick(state, i, s),
+         fock.oracle_conditional(cfg, elements, i, s)),
+        ("wick_residual", 0.0, fock.wick_residual(cfg, elements, i, s)),
     )
-    est = fock.oracle_moment(cfg, elements, "anomalous", MODE_IDLER, MODE_PLUS)
-    results.append(
-        _check(
-            f"anomalous_idler_plus [{tag}]",
-            gaussian.cross_moment(state, MODE_IDLER, MODE_PLUS, "anomalous"),
-            est,
-            tolerance_scale,
-        )
-    )
-    est = fock.oracle_conditional(cfg, elements, MODE_IDLER, MODE_PLUS)
-    results.append(
-        _check(
-            f"conditional_mean [{tag}]",
-            heralding.conditional_mean_wick(state, MODE_IDLER, MODE_PLUS),
-            est,
-            tolerance_scale,
-        )
-    )
-    res = fock.wick_residual(cfg, elements, MODE_IDLER, MODE_PLUS)
-    results.append(_check(f"wick_residual [{tag}]", 0.0, res, tolerance_scale))
-    return results
+    return [_check(f"{label} [{tag}]", expected, est, tolerance_scale) for label, expected, est in rows]
 
 
 def random_low_gain_network(rng: np.random.Generator) -> tuple[int, tuple]:

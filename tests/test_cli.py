@@ -240,7 +240,7 @@ class TestScanSnrCommand:
         def skewed(v_a, v_b, T, phi):
             n_i, n_s, corr_sq = closed_form(v_a, v_b, T, phi)
             n_s = np.array(n_s, dtype=float)
-            n_s[-1] += 1e-6  # one grid point per propagated chunk
+            n_s[-1] += 1e-6  # the last point of the engine sample
             return n_i, n_s, corr_sq
 
         monkeypatch.setattr(closed_forms, "herald_moments", skewed)
@@ -345,6 +345,17 @@ oracle.seed = 3
     def test_resource_guard_exit_code(self, tmp_path):
         cfg = write_cfg(tmp_path, self.VERIFY_CFG.replace("oracle.cutoff = 12", "oracle.cutoff = 100"))
         assert cli.main(["verify", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 4
+
+    def test_sample_table_guard_exit_code(self, tmp_path, capsys):
+        text = self.VERIFY_CFG.replace("noise.N_B = 0", "noise.N_B = 0.5")
+        cfg = write_cfg(tmp_path, text.replace("oracle.samples = 200", "oracle.samples = 1000000"))
+        assert cli.main(["verify", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 4
+        assert "coherent coefficients exceed" in capsys.readouterr().err
+
+    def test_one_sample_is_config_error(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, self.VERIFY_CFG.replace("oracle.samples = 200", "oracle.samples = 1"))
+        assert cli.main(["verify", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        assert "oracle.samples must be >= 2" in capsys.readouterr().err
 
 
     @pytest.mark.parametrize(

@@ -121,6 +121,12 @@ class TestGuards:
         with pytest.raises(fock.ResourceLimitError):
             fock.FockConfig(cutoff=100, n_modes=4)
 
+    def test_one_sample_rejected(self):
+        # one sample has no spread, so its error bar would be nan
+        with pytest.raises(ValueError, match="mc_samples must be >= 2"):
+            fock.FockConfig(cutoff=8, n_modes=2, mc_samples=1)
+        fock.FockConfig(cutoff=8, n_modes=2, mc_samples=2)
+
     def test_gain_bound(self):
         cfg = fock.FockConfig(cutoff=8, n_modes=2)
         with pytest.raises(ValueError, match="gain"):
@@ -414,6 +420,22 @@ class TestBlockKernels:
         finally:
             tracemalloc.stop()
         assert peak < 1_000_000
+
+    def test_sample_table_guard_raises_before_drawing(self):
+        # 13^5 basis amplitudes pass the stack guard, but 10^6 samples x 13
+        # coherent coefficients would need 208 MB before the first draw
+        cfg = fock.FockConfig(cutoff=12, n_modes=4, mc_samples=10**6, seed=1)
+        elements = (g.ThermalInput(3, 0.5), g.BeamSplitter(0, 3, math.sqrt(0.5), math.sqrt(0.5)))
+        tracemalloc.start()
+        try:
+            with pytest.raises(fock.ResourceLimitError, match=r"13000000.*10000000"):
+                fock._PreparedNetwork(cfg, elements)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+        # a vacuum network draws nothing, so the sample count is not guarded
+        fock._PreparedNetwork(cfg, elements[1:])
 
 
 def matched_herald_elements(v_a, v_b, T, n_b, phi):

@@ -88,24 +88,24 @@ class TestConditionalMeanPovm:
 
 class TestModeMatchedFringe:
     def test_herald_mean_reference(self):
-        mm = her.mode_matched_moments(reference_topology(), 0.0)
-        assert mm.herald_mean == pytest.approx(HERALD_MEAN_REF, abs=1e-12)
+        mm = her.mode_matched_moments_grid([reference_topology()], [0.0])
+        assert mm.herald_mean[0] == pytest.approx(HERALD_MEAN_REF, abs=1e-12)
 
     def test_exchange_correlation_vanishes(self):
         for phi in (0.0, 0.4, 1.1):
-            mm = her.mode_matched_moments(reference_topology(), phi)
-            assert abs(mm.exchange_corr) < 1e-12
+            mm = her.mode_matched_moments_grid([reference_topology()], [phi])
+            assert abs(mm.exchange_corr[0]) < 1e-12
 
     def test_engine_reproduces_closed_forms(self):
-        # mode_matched_moments raises internally on closed-form mismatch;
+        # mode_matched_moments_grid raises internally on closed-form mismatch;
         # verify explicitly at a nontrivial phase as well.
         topo = itf.two_spdc(0.25, 0.08, 0.7, 40.0)
         phi = 0.9
-        mm = her.mode_matched_moments(topo, phi)
+        mm = her.mode_matched_moments_grid([topo], [phi])
         n_i, n_s, corr_sq = closed_forms.herald_moments(0.25, 0.08, 0.7, phi)
-        assert mm.herald_mean == pytest.approx(n_i, abs=1e-10)
-        assert mm.signal_mean == pytest.approx(n_s, abs=1e-10)
-        assert abs(mm.pair_corr) ** 2 == pytest.approx(corr_sq, abs=1e-10)
+        assert mm.herald_mean[0] == pytest.approx(n_i, abs=1e-10)
+        assert mm.signal_mean[0] == pytest.approx(n_s, abs=1e-10)
+        assert abs(mm.pair_corr[0]) ** 2 == pytest.approx(corr_sq, abs=1e-10)
 
     @pytest.mark.parametrize("n_b", [0.0, 10.0, 100.0])
     def test_background_free(self, n_b):
@@ -118,17 +118,6 @@ class TestModeMatchedFringe:
         fr = her.heralded_fringe_mode_matched(reference_topology())
         assert fr.visibility == pytest.approx(fr.amplitude / fr.dc, abs=1e-12)
         assert 0.0 <= fr.visibility <= 1.0
-
-    def test_custom_grid_matches_default(self):
-        topo = reference_topology()
-        default = her.heralded_fringe_mode_matched(topo)
-        dense = her.heralded_fringe_mode_matched(topo, tuple(np.linspace(0.0, 1.5, 7)))
-        assert dense.dc == pytest.approx(default.dc, abs=1e-10)
-        assert dense.amplitude == pytest.approx(default.amplitude, abs=1e-10)
-
-    def test_degenerate_grid_rejected(self):
-        with pytest.raises(ValueError):
-            her.heralded_fringe_mode_matched(reference_topology(), (0.3, 0.3))
 
     def test_low_gain_monotone_in_transmittance(self):
         values = [
@@ -196,21 +185,21 @@ class TestPovmFringeHelper:
     def test_ideal_detector_matches_wick_assembly(self):
         topo = reference_topology()
         for phi in (0.0, 0.8):
-            ideal = her.mode_matched_conditional_mean(topo, phi)
-            with_det = her.mode_matched_conditional_mean(
-                topo, phi, her.DetectorModel(eta=0.4, nu=0.0)
+            (ideal,) = her.mode_matched_conditional_means([topo], [phi])
+            (with_det,) = her.mode_matched_conditional_means(
+                [topo], [phi], her.DetectorModel(eta=0.4, nu=0.0)
             )
             assert with_det == pytest.approx(ideal, abs=1e-12)
 
     def test_dark_counts_wash_out_conditioning(self):
         topo = reference_topology(0.0)
-        value = her.mode_matched_conditional_mean(topo, 0.0, her.DetectorModel(1.0, 1e12))
-        mm = her.mode_matched_moments(topo, 0.0)
-        assert value == pytest.approx(mm.signal_mean, rel=1e-9)
+        (value,) = her.mode_matched_conditional_means([topo], [0.0], her.DetectorModel(1.0, 1e12))
+        mm = her.mode_matched_moments_grid([topo], [0.0])
+        assert value == pytest.approx(mm.signal_mean[0], rel=1e-9)
 
 
 # ---------------------------------------------------------------------------
-# Batched grids against the per-point functions
+# Batched grids against grids of one point
 # ---------------------------------------------------------------------------
 
 
@@ -221,11 +210,11 @@ def _close(batched, single):
 def _assert_grid_matches_points(topos, phis):
     mm = her.mode_matched_moments_grid(topos, phis)
     for k, (topo, phi) in enumerate(zip(topos, phis)):
-        one = her.mode_matched_moments(topo, phi)
-        assert _close(mm.herald_mean[k], one.herald_mean)
-        assert _close(mm.signal_mean[k], one.signal_mean)
-        assert _close(mm.pair_corr[k], one.pair_corr)
-        assert _close(mm.exchange_corr[k], one.exchange_corr)
+        one = her.mode_matched_moments_grid([topo], [phi])
+        assert _close(mm.herald_mean[k], one.herald_mean[0])
+        assert _close(mm.signal_mean[k], one.signal_mean[0])
+        assert _close(mm.pair_corr[k], one.pair_corr[0])
+        assert _close(mm.exchange_corr[k], one.exchange_corr[0])
     for topo, fr in zip(topos, her.heralded_fringes_mode_matched(topos)):
         try:
             one = her.heralded_fringe_mode_matched(topo)
@@ -252,8 +241,8 @@ def test_batched_grid_matches_points(points):
     _assert_grid_matches_points(topos, [point[-1] for point in points])
 
 
-def test_batched_grid_across_chunks():
-    count = 2 * her.STACK_CHUNK + 17
+def test_batched_grid_of_273_points():
+    count = 273
     rng = np.random.default_rng(11)
     topos = [
         itf.two_spdc(v_a, v_b, T, n_b)
@@ -271,9 +260,9 @@ def test_dark_grid_points_are_nan_and_single_points_raise():
     topos = [itf.two_spdc(0.1, 0.0, 0.0, 1.0), itf.two_spdc(0.1, 0.0, 0.5, 1.0)]
     values = her.mode_matched_conditional_means(topos, [0.3, 0.3])
     assert math.isnan(values[0]) and math.isfinite(values[1])
+    (one,) = her.mode_matched_conditional_means(topos[:1], [0.3])
+    assert math.isnan(one)
     dark, lit = her.heralded_fringes_mode_matched(topos)
     assert dark is None and lit is not None
-    with pytest.raises(ValueError, match="no herald"):
-        her.mode_matched_conditional_mean(topos[0], 0.3)
     with pytest.raises(ValueError, match="no herald"):
         her.heralded_fringe_mode_matched(topos[0])
