@@ -6,7 +6,9 @@ a two-mode squeezer), so its truncated generator is block-diagonal in that
 number; each block is exponentiated exactly through a Hermitian
 eigendecomposition.  Every element is therefore unitary on the truncated
 space and norm is conserved to machine precision; truncation shows up as
-occupation piling at the cutoff, which is guarded separately.
+occupation piling at the cutoff.  The guards reject the worst of it, and
+every estimate, vacuum or thermal, carries the rest as a truncation term:
+its difference from the same estimate at cutoff - 2.
 
 A thermal input is handled by Monte-Carlo sampling of its coherent-state
 decomposition: a complex amplitude alpha with <|alpha|^2> = n_bar is drawn
@@ -33,15 +35,15 @@ All results are deterministic given (seed, config): sample k draws from a
 generator seeded with (seed, k), independent of batching or evaluation
 order.  The draws depend on nothing else, so one set per (seed, samples,
 n_bar) is shared by every network that asks for it, such as the points of
-a verify grid and their lowered-cutoff companions.
+a verify grid and their lowered-cutoff runs.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
-from typing import Iterator, Literal
+from typing import Callable, Iterator, Literal
 
 import numpy as np
 
@@ -111,14 +113,12 @@ class FockConfig:
 class OracleEstimate:
     """Estimated expectation value with its standard error.
 
-    ``std_error`` is exactly zero when the network carries no thermal port
-    (the simulation is then deterministic and its truncation error is held
-    below 1e-8 by the gain/cutoff guards).  For sampled thermal networks it
-    combines, in quadrature, the Monte-Carlo statistical error with a
-    cutoff-convergence estimate of the sampling-induced truncation error:
-    bright coherent samples push joint two-mode occupations past the cutoff,
-    a bias that statistics alone cannot see, so the same samples are also
-    propagated at a lowered cutoff and the difference bounds the bias.
+    ``std_error`` combines, in quadrature, the Monte-Carlo statistical error
+    (zero when the network carries no thermal port, which is simulated once)
+    with a cutoff-convergence estimate of the truncation error: the same
+    samples are also propagated at cutoff - 2, and |value - lowered value|
+    estimates the bias that amplitude pushed past the cutoff leaves, which
+    statistics alone cannot see and the guards bound only as a probability.
     ``value`` is complex for cross moments and real otherwise.
     """
 
@@ -361,11 +361,10 @@ def _validate_elements(cfg: FockConfig, elements: tuple[Element, ...]) -> Therma
 
 
 class _PreparedNetwork:
-    """Propagated port-basis columns plus sampled coherent coefficients."""
+    """Propagated port-basis columns plus sampled coherent coefficients;
+    ``guarded=False`` turns the preparation-leak and top-level guards off."""
 
-    def __init__(
-        self, cfg: FockConfig, elements: tuple[Element, ...], guard_prep_leak: bool = True
-    ):
+    def __init__(self, cfg: FockConfig, elements: tuple[Element, ...], guarded: bool = True):
         self.cfg = cfg
         self.elements = elements
         self.thermal = _validate_elements(cfg, elements)
@@ -401,18 +400,14 @@ class _PreparedNetwork:
             alphas = _thermal_amplitudes(cfg.seed, cfg.mc_samples, self.thermal.n_bar)
             self.coeffs, leaks = _coherent_table(alphas, dim)
             self.mean_prep_leak = float(np.mean(leaks))
-            if guard_prep_leak and self.mean_prep_leak > MEAN_PREP_LEAK_TOL:
+            if guarded and self.mean_prep_leak > MEAN_PREP_LEAK_TOL:
                 raise TruncationError(
                     f"mean coherent-preparation leak {self.mean_prep_leak:.3e} "
                     "indicates the cutoff is too small for this thermal brightness"
                 )
-        if self.thermal is None and top_level_mass(self.basis[0]) > TOP_LEVEL_TOL:
+        if guarded and self.thermal is None and top_level_mass(self.basis[0]) > TOP_LEVEL_TOL:
             raise TruncationError("cutoff-level occupation exceeds the truncation guard")
         self._grams: dict[tuple, np.ndarray] = {}
-
-    @property
-    def deterministic(self) -> bool:
-        return self.thermal is None
 
     # -- observables ------------------------------------------------------
 
@@ -458,22 +453,11 @@ class _PreparedNetwork:
             yield np.tensordot(c, self.basis, axes=([0], [0]))
 
 
-@lru_cache(maxsize=1)
-def _prepare(cfg: FockConfig, elements: tuple[Element, ...]) -> _PreparedNetwork:
-    return _PreparedNetwork(cfg, elements)
-
-
-@lru_cache(maxsize=1)
-def _prepare_companion(cfg: FockConfig, elements: tuple[Element, ...]) -> _PreparedNetwork | None:
-    """Same samples at a lowered cutoff, used for truncation-error estimates.
-
-    The companion skips the preparation-leak guard: its larger leak only
-    makes the error estimate more conservative.
-    """
-    if cfg.cutoff - 2 < 2:
-        return None
-    lowered = FockConfig(cfg.cutoff - 2, cfg.n_modes, cfg.mc_samples, cfg.seed)
-    return _PreparedNetwork(lowered, elements, guard_prep_leak=False)
+@lru_cache(maxsize=2)
+def _prepare(
+    cfg: FockConfig, elements: tuple[Element, ...], guarded: bool = True
+) -> _PreparedNetwork:
+    return _PreparedNetwork(cfg, elements, guarded)
 
 
 # ---------------------------------------------------------------------------
@@ -490,11 +474,33 @@ def simulate_network(cfg: FockConfig, elements: tuple[Element, ...]) -> Iterator
     return _prepare(cfg, tuple(elements)).sample_states()
 
 
-def _statistical_error(values: np.ndarray) -> float:
-    mean = values.mean()
-    m = values.size
-    spread = float(np.sum(np.abs(values - mean) ** 2) / (m - 1))
-    return math.sqrt(spread / m)
+def _estimate(
+    cfg: FockConfig,
+    elements: tuple[Element, ...],
+    moments: list[tuple],
+    value: Callable[..., complex | float],
+    stat_error: Callable[..., float],
+) -> OracleEstimate:
+    """The one oracle estimator: ``value(*series)`` of the per-sample series
+    of ``moments``, with a standard error combining in quadrature
+    ``stat_error(value, *series)`` and the truncation term
+    |value - value at cutoff - 2|.
+
+    The statistical error is zero only for a one-row coefficient table (a
+    network without a thermal port is simulated once).  The lowered run
+    reuses the samples and has its guards off: the leak or top-level mass it
+    adds only widens the error bar.
+    """
+    elements = tuple(elements)
+    run = _prepare(cfg, elements)
+    series = [run.per_sample(*m) for m in moments]
+    estimate = value(*series)
+    stat = stat_error(estimate, *series) if len(run.coeffs) > 1 else 0.0
+    trunc = 0.0
+    if cfg.cutoff - 2 >= 2:
+        lowered = _prepare(replace(cfg, cutoff=cfg.cutoff - 2), elements, False)
+        trunc = abs(estimate - value(*(lowered.per_sample(*m) for m in moments)))
+    return OracleEstimate(estimate, math.hypot(stat, trunc))
 
 
 def oracle_moment(
@@ -507,37 +513,31 @@ def oracle_moment(
     """Expectation of <n_i>, <a_i^dag a_j>, <a_i a_j>, or <n_i n_j>."""
     if kind != "mean" and j is None:
         raise ValueError(f"moment kind {kind!r} needs two mode indices")
-    run = _prepare(cfg, tuple(elements))
     real = kind in ("mean", "number_product")
-    values = run.per_sample(kind, i, j)
-    if real:
-        values = values.real
-    mean = values.mean()
-    if run.deterministic:
-        return OracleEstimate(float(mean) if real else complex(mean), 0.0)
-    trunc = 0.0
-    companion = _prepare_companion(cfg, tuple(elements))
-    if companion is not None:
-        lowered = companion.per_sample(kind, i, j)
-        trunc = abs(complex(mean - lowered.mean()))
-    se = math.hypot(_statistical_error(values), trunc)
-    return OracleEstimate(float(mean) if real else complex(mean), se)
+
+    def value(values: np.ndarray) -> complex | float:
+        return float(values.real.mean()) if real else complex(values.mean())
+
+    def stat_error(mean: complex | float, values: np.ndarray) -> float:
+        spread = np.sum(np.abs((values.real if real else values) - mean) ** 2) / (values.size - 1)
+        return math.sqrt(float(spread) / values.size)
+
+    return _estimate(cfg, elements, [(kind, i, j)], value, stat_error)
 
 
-def _conditional_ratio(run: _PreparedNetwork, mode_i: int, mode_s: int) -> tuple[float, float]:
-    """(ratio, statistical standard error) of <n_I n_S> / <n_I> on one run."""
-    num = run.per_sample("number_product", mode_i, mode_s).real
-    den = run.per_sample("mean", mode_i).real
-    den_mean = float(den.mean())
+def _ratio(num: np.ndarray, den: np.ndarray) -> float:
+    den_mean = float(den.real.mean())
     if den_mean <= 0.0:
         raise ValueError("zero herald rate: the herald mode is empty")
-    ratio = float(num.mean()) / den_mean
-    if run.deterministic:
-        return ratio, 0.0
-    m = num.size
-    cov = np.cov(np.vstack([num, den]), ddof=1)
-    var = (cov[0, 0] - 2.0 * ratio * cov[0, 1] + ratio**2 * cov[1, 1]) / (m * den_mean**2)
-    return ratio, math.sqrt(max(0.0, var))
+    return float(num.real.mean()) / den_mean
+
+
+def _ratio_error(ratio: float, num: np.ndarray, den: np.ndarray) -> float:
+    cov = np.cov(np.vstack([num.real, den.real]), ddof=1)
+    var = (cov[0, 0] - 2.0 * ratio * cov[0, 1] + ratio**2 * cov[1, 1]) / (
+        num.size * float(den.real.mean()) ** 2
+    )
+    return math.sqrt(max(0.0, var))
 
 
 def oracle_conditional(
@@ -549,34 +549,13 @@ def oracle_conditional(
     denominator; its statistical error comes from first-order propagation
     of the joint sample covariance.
     """
-    run = _prepare(cfg, tuple(elements))
-    ratio, se = _conditional_ratio(run, mode_i, mode_s)
-    if run.deterministic:
-        return OracleEstimate(ratio, 0.0)
-    trunc = 0.0
-    companion = _prepare_companion(cfg, tuple(elements))
-    if companion is not None:
-        lowered, _ = _conditional_ratio(companion, mode_i, mode_s)
-        trunc = abs(ratio - lowered)
-    return OracleEstimate(ratio, math.hypot(se, trunc))
+    moments = [("number_product", mode_i, mode_s), ("mean", mode_i, None)]
+    return _estimate(cfg, elements, moments, _ratio, _ratio_error)
 
 
-def _residual_series(run: _PreparedNetwork, mode_i: int, mode_s: int) -> dict[str, np.ndarray]:
-    return {
-        "nn": run.per_sample("number_product", mode_i, mode_s).real,
-        "ni": run.per_sample("mean", mode_i).real,
-        "ns": run.per_sample("mean", mode_s).real,
-        "an": run.per_sample("anomalous", mode_i, mode_s),
-        "nm": run.per_sample("normal", mode_i, mode_s),
-    }
-
-
-def _residual_of(series: dict[str, np.ndarray], sel: slice) -> float:
-    nn = float(series["nn"][sel].mean())
-    ni = float(series["ni"][sel].mean())
-    ns = float(series["ns"][sel].mean())
-    an = complex(series["an"][sel].mean())
-    nm = complex(series["nm"][sel].mean())
+def _residual(*series: np.ndarray) -> float:
+    nn, ni, ns = (float(s.real.mean()) for s in series[:3])
+    an, nm = (complex(s.mean()) for s in series[3:])
     return nn - ni * ns - abs(an) ** 2 - abs(nm) ** 2
 
 
@@ -592,24 +571,21 @@ def wick_residual(
         <n_I n_S> - <n_I><n_S> - |<a_I a_S>|^2 - |<a_I^dag a_S>|^2,
 
     which vanishes for any zero-mean Gaussian network.  The statistical
-    error bar comes from a batched jackknife over Monte-Carlo samples; the
-    truncation term from the lowered-cutoff companion run.
+    error bar comes from a batched jackknife over Monte-Carlo samples.
     """
-    run = _prepare(cfg, tuple(elements))
-    series = _residual_series(run, mode_i, mode_s)
-    value = _residual_of(series, slice(None))
-    if run.deterministic:
-        return OracleEstimate(value, 0.0)
-    m = series["nn"].size
-    n_batches = max(2, min(n_batches, m))
-    edges = np.linspace(0, m, n_batches + 1, dtype=int)
-    batch_values = np.array(
-        [_residual_of(series, slice(lo, hi)) for lo, hi in zip(edges[:-1], edges[1:]) if hi > lo]
-    )
-    se = float(np.std(batch_values, ddof=1) / math.sqrt(batch_values.size))
-    trunc = 0.0
-    companion = _prepare_companion(cfg, tuple(elements))
-    if companion is not None:
-        lowered = _residual_of(_residual_series(companion, mode_i, mode_s), slice(None))
-        trunc = abs(value - lowered)
-    return OracleEstimate(value, math.hypot(se, trunc))
+
+    def batch_error(_: float, *series: np.ndarray) -> float:
+        m = series[0].size
+        edges = np.linspace(0, m, max(2, min(n_batches, m)) + 1, dtype=int)
+        batches = [slice(lo, hi) for lo, hi in zip(edges[:-1], edges[1:]) if hi > lo]
+        batch_values = np.array([_residual(*(s[b] for s in series)) for b in batches])
+        return float(np.std(batch_values, ddof=1) / math.sqrt(batch_values.size))
+
+    moments = [
+        ("number_product", mode_i, mode_s),
+        ("mean", mode_i, None),
+        ("mean", mode_s, None),
+        ("anomalous", mode_i, mode_s),
+        ("normal", mode_i, mode_s),
+    ]
+    return _estimate(cfg, elements, moments, _residual, batch_error)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fock, gaussian, heralding, interferometer
-from .config import RunConfig
+from .config import ConfigError, RunConfig
 from .interferometer import MODE_IDLER, MODE_MINUS, MODE_PLUS
 
 
@@ -126,23 +126,30 @@ def wick_residual_checks(
 
 
 def run_default_suite(cfg: RunConfig) -> list[CheckResult]:
-    """The `verify` command's suite over the config's (T, N_B) grid."""
+    """The `verify` command's suite over the config's (T, N_B) grid.
+
+    Every grid point needs herald clicks, so a point whose idler mode is
+    empty is a ``ConfigError``, raised before any oracle work."""
+    grid = [(float(T), float(n_b)) for n_b in cfg.n_b_values for T in cfg.transmittance_values()]
+    for T, n_b in grid:
+        topo = interferometer.two_spdc(cfg.v_a, cfg.v_b, T, n_b)
+        if gaussian.mean_photon_number(interferometer.output_state(topo, 0.7), MODE_IDLER) <= 0.0:
+            raise ConfigError(f"herald mode is empty at T={T:g} N_B={n_b:g}: no click to verify")
     results: list[CheckResult] = []
-    for n_b in cfg.n_b_values:
-        for T in cfg.transmittance_values():
-            results.extend(
-                two_spdc_checks(
-                    cfg.v_a,
-                    cfg.v_b,
-                    float(T),
-                    float(n_b),
-                    phi=0.7,
-                    cutoff=cfg.cutoff,
-                    samples=cfg.samples,
-                    seed=cfg.seed,
-                    tolerance_scale=cfg.tolerance_scale,
-                )
+    for T, n_b in grid:
+        results.extend(
+            two_spdc_checks(
+                cfg.v_a,
+                cfg.v_b,
+                T,
+                n_b,
+                phi=0.7,
+                cutoff=cfg.cutoff,
+                samples=cfg.samples,
+                seed=cfg.seed,
+                tolerance_scale=cfg.tolerance_scale,
             )
+        )
     results.extend(
         wick_residual_checks(
             n_networks=5,

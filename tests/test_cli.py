@@ -357,6 +357,31 @@ oracle.seed = 3
         assert cli.main(["verify", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
         assert "oracle.samples must be >= 2" in capsys.readouterr().err
 
+    def test_vacuum_checks_pass_near_envelope_edge(self, tmp_path):
+        # at V = 0.2 and cutoff 12 vacuum moments are up to 5e-7 off, above the 1e-8 floor
+        text = self.VERIFY_CFG.replace("V_A = 0.1", "V_A = 0.2").replace("V_B = 0.1", "V_B = 0.2")
+        text = text.replace("T.count = 2", "T.count = 5").replace("seed = 3", "seed = 7")
+        cfg = write_cfg(tmp_path, text)
+        out = tmp_path / "out"
+        assert cli.main(["verify", "--config", str(cfg), "--out", str(out)]) == 0
+        assert (out / "verify_report.txt").read_text().endswith("40/40 checks passed\n")
+
+    @pytest.mark.parametrize(
+        "old, new",
+        [
+            ("gain.V_A = 0.1\ngain.V_B = 0.1", "gain.V_A = 0\ngain.V_B = 0"),
+            ("gain.V_B = 0.1\nobject.T.min = 0.0\nobject.T.max = 1.0\nobject.T.count = 2",
+             "gain.V_B = 0\nobject.T = 0"),
+        ],
+        ids=["zero-gain", "dark-idler-at-T0"],
+    )
+    def test_dark_herald_is_config_error(self, tmp_path, capsys, old, new):
+        assert old in self.VERIFY_CFG
+        cfg = write_cfg(tmp_path, self.VERIFY_CFG.replace(old, new))
+        assert cli.main(["verify", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: herald mode is empty at T=0 N_B=0")
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize(
         "old, new, bound",

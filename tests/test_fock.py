@@ -88,12 +88,13 @@ class TestThermalSampling:
         est = fock.oracle_moment(cfg, (g.ThermalInput(0, 0.5),), "anomalous", 0, 0)
         assert abs(est.value) < 3.0 * est.std_error + 1e-8
 
-    def test_deterministic_networks_report_zero_error(self):
-        cfg = fock.FockConfig(cutoff=8, n_modes=2)
-        est = fock.oracle_moment(
-            cfg, (g.TwoModeSqueezer(0, 1, g.SqueezerParams(0.1)),), "mean", 0
-        )
-        assert est.std_error == 0.0
+    def test_deterministic_networks_report_truncation_error(self):
+        els = (g.TwoModeSqueezer(0, 1, g.SqueezerParams(0.1)),)
+        est = fock.oracle_moment(fock.FockConfig(cutoff=8, n_modes=2), els, "mean", 0)
+        lowered = fock.oracle_moment(fock.FockConfig(cutoff=6, n_modes=2), els, "mean", 0)
+        # no statistical part: the error bar is the truncation term alone
+        assert est.std_error == abs(est.value - lowered.value)
+        assert est.std_error > 0.0
 
     def test_thermal_networks_report_positive_error(self):
         cfg = fock.FockConfig(cutoff=10, n_modes=2, mc_samples=500, seed=1)
@@ -144,6 +145,14 @@ class TestGuards:
         els = (g.ThermalInput(0, 0.5), g.ThermalInput(1, 0.5))
         with pytest.raises(ValueError, match="thermal port"):
             fock.oracle_moment(cfg, els, "mean", 0)
+
+    def test_vacuum_error_bar_covers_truncation_near_envelope_edge(self):
+        els = (g.TwoModeSqueezer(0, 1, g.SqueezerParams(0.25)),)
+        est = fock.oracle_moment(fock.FockConfig(cutoff=10, n_modes=2), els, "mean", 0)
+        assert abs(est.value - 0.25) <= est.std_error
+        # the cutoff-8 run behind the error bar would trip the top-level guard
+        lowered = fock._PreparedNetwork(fock.FockConfig(cutoff=8, n_modes=2), els, guarded=False)
+        assert fock.top_level_mass(lowered.basis[0]) > fock.TOP_LEVEL_TOL
 
     def test_truncation_guard_on_tiny_cutoff(self):
         cfg = fock.FockConfig(cutoff=1, n_modes=2)
@@ -393,7 +402,7 @@ class TestBlockKernels:
     def test_grams_match_tensordot_contraction(self):
         topo = itf.two_spdc(0.2, 0.15, 0.4, 0.5)
         cfg = fock.FockConfig(cutoff=6, n_modes=4, mc_samples=20, seed=3)
-        run = fock._PreparedNetwork(cfg, itf.network_elements(topo, 0.3), guard_prep_leak=False)
+        run = fock._PreparedNetwork(cfg, itf.network_elements(topo, 0.3), guarded=False)
         assert run.basis.flags.c_contiguous
         a = np.diag(np.sqrt(np.arange(1, cfg.dim)), 1).astype(complex)
 
@@ -475,9 +484,11 @@ class TestMatchedHeraldFringe:
 class TestWickResidual:
     def test_deterministic_network(self):
         topo = itf.two_spdc(0.1, 0.1, 0.5, 0.0)
-        cfg = fock.FockConfig(cutoff=12, n_modes=4)
-        res = fock.wick_residual(cfg, itf.network_elements(topo, 0.4), itf.MODE_IDLER, itf.MODE_PLUS)
-        assert res.std_error == 0.0
+        els = itf.network_elements(topo, 0.4)
+        i, s = itf.MODE_IDLER, itf.MODE_PLUS
+        res = fock.wick_residual(fock.FockConfig(cutoff=12, n_modes=4), els, i, s)
+        lowered = fock.wick_residual(fock.FockConfig(cutoff=10, n_modes=4), els, i, s)
+        assert res.std_error == abs(res.value - lowered.value)
         assert abs(res.value) < 1e-8
 
     def test_thermal_network(self):
