@@ -2,7 +2,7 @@
 """Run the full oracle verification suite with the bundled defaults.
 
 Equivalent to `icl verify --config verify.cfg --out <dir>`; exits nonzero
-if any check fails.  Takes about 1.5 s on a 2-core machine; the report
+if any check fails.  Takes about 0.7 s on a 2-core machine; the report
 (`verify_report.txt` in the output directory) ends with the pass count.
 """
 

@@ -14,22 +14,29 @@ A thermal input is handled by Monte-Carlo sampling of its coherent-state
 decomposition: a complex amplitude alpha with <|alpha|^2> = n_bar is drawn
 per sample and |alpha> enters the port, keeping every sample a pure state.
 Because the network is fixed across samples, the port's Fock basis states
-are propagated once, as one stack through each gate, and each observable
-reduces to a small quadratic form in the sampled coherent coefficients;
-this is numerically identical to propagating every sample through the
-network.
+are propagated once, through each gate, and each observable reduces to a
+small quadratic form (a Gram matrix over the basis columns) in the sampled
+coherent coefficients; this is numerically identical to propagating every
+sample through the network.
+
+Most networks also conserve a charge Q = sum_m s_m n_m, with signs s_m = +-1
+that flip across every squeezer and hold across every splitter (the
+signal-idler number difference of an SU(1,1) interferometer).  Port column
+|k> then lives in its own sector, Q = s_port * k, so the cutoff+1 columns
+are propagated merged, as one dense state, and each Gram matrix is one pass
+over it, summed per charge: a thermal network costs about one dense state.
+A network without such a charge propagates its columns as a stack.
 
 The kernels use the same block structure.  A gate acts on one contiguous
-copy of the stack with its two modes leading, so that a block of fixed
-conserved number is a strided slice of the flat pair index, and each block
-is one matmul with a cached contiguous block matrix: about (2d^3 + d)/3
-multiply-adds per pair column instead of d^4 for the dense (d^2 x d^2)
-unitary.  The propagated basis is stored contiguous, so each observable's
-Gram matrix is one flat matmul over (columns, states) arrays, and a ladder
-operator is an index shift along its mode's axis.  A thermal port's stack
-holds cutoff+1 basis states, and is counted whole against the dimension
-guard before it is allocated; so is its samples x (cutoff+1) table of
-coherent coefficients, before any amplitude is drawn.
+copy of the state or stack with its two modes leading, so that a block of
+fixed conserved number is a strided slice of the flat pair index, and each
+block is one matmul with a cached contiguous block matrix: about
+(2d^3 + d)/3 multiply-adds per pair column instead of d^4 for the dense
+(d^2 x d^2) unitary.  A ladder operator is an index shift along its mode's
+axis.  A thermal port's cutoff+1 basis states are counted whole against the
+dimension guard before anything is allocated, merged or not; so is its
+samples x (cutoff+1) table of coherent coefficients, before any amplitude
+is drawn.
 
 All results are deterministic given (seed, config): sample k draws from a
 generator seeded with (seed, k), independent of batching or evaluation
@@ -42,7 +49,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Callable, Iterator, Literal
 
 import numpy as np
@@ -206,12 +213,17 @@ def _gate_blocks(element: Element, dim: int) -> tuple[tuple[slice, np.ndarray], 
     return tuple(blocks)
 
 
-def _apply_to_stack(stack: np.ndarray, element: Element, cutoff: int) -> np.ndarray:
+def _apply_to_stack(
+    stack: np.ndarray, element: Element, cutoff: int, sectors: np.ndarray | None = None
+) -> np.ndarray:
     """Apply one gate element to every state of a (columns,) + (dim,)*n_modes
     stack; the norm-leak guard holds for each state.
 
     A two-mode gate acts on one contiguous pair-major copy of the stack, one
-    matmul per block of its conserved number.
+    matmul per block of its conserved number.  A one-column stack that holds
+    several states in disjoint charge sectors passes ``sectors``, the
+    (dim,)*n_modes array of each amplitude's sector index, and the guard
+    then holds for each sector.
     """
     dim = cutoff + 1
     if isinstance(element, PhaseShift):
@@ -230,10 +242,13 @@ def _apply_to_stack(stack: np.ndarray, element: Element, cutoff: int) -> np.ndar
     out = np.empty_like(pairs)
     for s, block in _gate_blocks(element, dim):
         np.matmul(block, pairs[s], out=out[s])
-    columns = stack.shape[0]
-    leak = np.abs(
-        np.sqrt(_column_norms2(out, columns)) - np.sqrt(_column_norms2(pairs, columns))
-    ).max()
+    if sectors is None:
+        columns = stack.shape[0]
+        norms_in, norms_out = _column_norms2(pairs, columns), _column_norms2(out, columns)
+    else:
+        labels = np.moveaxis(sectors, (i, j), (0, 1)).ravel()
+        norms_in, norms_out = _sector_norms2(pairs, labels), _sector_norms2(out, labels)
+    leak = np.abs(np.sqrt(norms_out) - np.sqrt(norms_in)).max()
     if leak > NORM_LEAK_TOL:
         raise TruncationError(f"norm leakage {leak:.3e} applying {element!r}")
     return np.moveaxis(out.reshape(moved.shape), (0, 1), (i + 1, j + 1))
@@ -243,6 +258,13 @@ def _column_norms2(pairs: np.ndarray, columns: int) -> np.ndarray:
     """Squared norm of each column of a contiguous pair-major stack."""
     flat = pairs.view(np.float64).reshape(pairs.shape[0], columns, -1)
     return np.einsum("pcr,pcr->c", flat, flat)
+
+
+def _sector_norms2(pairs: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """Squared norm of each sector of a contiguous one-column stack, given
+    the sector index of each amplitude in the same order."""
+    flat = pairs.view(np.float64).reshape(-1, 2)
+    return np.bincount(labels, weights=np.einsum("ar,ar->a", flat, flat))
 
 
 def apply_element(psi: np.ndarray, element: Element, cutoff: int) -> np.ndarray:
@@ -360,9 +382,51 @@ def _validate_elements(cfg: FockConfig, elements: tuple[Element, ...]) -> Therma
     return thermal
 
 
+def _mode_charges(n_modes: int, elements: tuple[Element, ...]) -> tuple[int, ...] | None:
+    """Signs s_m = +-1 such that every element conserves Q = sum_m s_m n_m,
+    or None if there are none.
+
+    A squeezer pairs modes of opposite sign and a splitter mixes modes of
+    equal sign; a mode that no gate ties to a lower mode takes +1.
+    """
+    edges: list[list[tuple[int, int]]] = [[] for _ in range(n_modes)]
+    for el in elements:
+        if isinstance(el, TwoModeSqueezer):
+            a, b, flip = el.mode_signal, el.mode_idler, -1
+        elif isinstance(el, BeamSplitter):
+            a, b, flip = el.mode_a, el.mode_b, 1
+        else:
+            continue
+        edges[a].append((b, flip))
+        edges[b].append((a, flip))
+    signs = [0] * n_modes
+    for root in range(n_modes):
+        if signs[root]:
+            continue
+        signs[root] = 1
+        todo = [root]
+        while todo:
+            m = todo.pop()
+            for other, flip in edges[m]:
+                if signs[other] == 0:
+                    signs[other] = signs[m] * flip
+                    todo.append(other)
+                elif signs[other] != signs[m] * flip:
+                    return None
+    return tuple(signs)
+
+
 class _PreparedNetwork:
     """Propagated port-basis columns plus sampled coherent coefficients;
-    ``guarded=False`` turns the preparation-leak and top-level guards off."""
+    ``guarded=False`` turns the preparation-leak and top-level guards off.
+
+    A thermal network with a conserved charge Q = sum_m s_m n_m (see
+    ``_mode_charges``) is propagated merged: the port columns |k> enter as
+    one dense state, sum_k |k>_port |0...0>, and column k is the part of it
+    with charge s_port * k, since every gate conserves Q.  Each Gram matrix
+    is then one pass over that state, summed per charge; ``basis`` unpacks
+    the columns on demand.  Other networks propagate the columns as a stack.
+    """
 
     def __init__(self, cfg: FockConfig, elements: tuple[Element, ...], guarded: bool = True):
         self.cfg = cfg
@@ -383,15 +447,28 @@ class _PreparedNetwork:
                 f"{cfg.mc_samples} samples x (cutoff+1) = {cfg.mc_samples * dim} coherent "
                 f"coefficients exceed the {MAX_DIMENSION} dimension guard"
             )
-        basis = np.zeros((n_basis,) + (dim,) * cfg.n_modes, dtype=complex)
+        self._signs = None if self.thermal is None else _mode_charges(cfg.n_modes, tuple(gates))
+        self._sectors = None
+        merged = self._signs is not None
+        state = np.zeros((1 if merged else n_basis,) + (dim,) * cfg.n_modes, dtype=complex)
         for k in range(n_basis):
             idx = [0] * cfg.n_modes
             if self.thermal is not None:
                 idx[self.thermal.mode] = k
-            basis[(k, *idx)] = 1.0
+            state[(0 if merged else k, *idx)] = 1.0
+        if merged:
+            levels = np.arange(dim)
+            charge = sum(
+                s * levels.reshape([dim if a == m else 1 for a in range(cfg.n_modes)])
+                for m, s in enumerate(self._signs)
+            )
+            # sector index of each amplitude: its charge, shifted to start at 0
+            self._min_charge = int(charge.min())
+            charge -= self._min_charge
+            self._sectors = charge
         for el in gates:
-            basis = _apply_to_stack(basis, el, cfg.cutoff)
-        self.basis = np.ascontiguousarray(basis)
+            state = _apply_to_stack(state, el, cfg.cutoff, self._sectors)
+        self._state = np.ascontiguousarray(state)
 
         if self.thermal is None:
             self.coeffs = np.ones((1, 1), dtype=complex)
@@ -405,14 +482,32 @@ class _PreparedNetwork:
                     f"mean coherent-preparation leak {self.mean_prep_leak:.3e} "
                     "indicates the cutoff is too small for this thermal brightness"
                 )
-        if guarded and self.thermal is None and top_level_mass(self.basis[0]) > TOP_LEVEL_TOL:
+        self._coeffs_conj = self.coeffs.conj()
+        if guarded and self.thermal is None and top_level_mass(self._state[0]) > TOP_LEVEL_TOL:
             raise TruncationError("cutoff-level occupation exceeds the truncation guard")
         self._grams: dict[tuple, np.ndarray] = {}
+
+    def _columns_of(self, charges: np.ndarray) -> np.ndarray:
+        """Port column whose part of the merged state has each charge."""
+        return self._signs[self.thermal.mode] * charges
+
+    @cached_property
+    def basis(self) -> np.ndarray:
+        """The (cutoff+1 or 1,) + (dim,)*n_modes stack of propagated columns."""
+        if self._sectors is None:
+            return self._state
+        dim = self.cfg.dim
+        flat = self._state.reshape(-1)
+        column = self._columns_of(self._sectors.reshape(-1) + self._min_charge)
+        keep = np.flatnonzero((column >= 0) & (column < dim))
+        basis = np.zeros((dim, flat.size), dtype=complex)
+        basis[column[keep], keep] = flat[keep]
+        return basis.reshape((dim,) + self._state.shape[1:])
 
     # -- observables ------------------------------------------------------
 
     def _number_weighted(self, modes: tuple[int, ...]) -> np.ndarray:
-        out = self.basis
+        out = self._state
         dim = self.cfg.dim
         for mode in modes:
             shape = [1] * out.ndim
@@ -420,24 +515,44 @@ class _PreparedNetwork:
             out = out * np.arange(dim).reshape(shape)
         return out
 
-    def _gram(self, left: np.ndarray, right: np.ndarray) -> np.ndarray:
-        columns = left.shape[0]
-        return left.reshape(columns, -1).conj() @ right.reshape(columns, -1).T
+    def _gram(
+        self, left: np.ndarray, right: np.ndarray, lowered_left: int = 0, lowered_right: int = 0
+    ) -> np.ndarray:
+        """<left_k|right_l> over every pair of columns k, l.  On the merged
+        state, ``lowered_left`` and ``lowered_right`` are the charges the
+        operators behind ``left`` and ``right`` remove: a_i removes s_i."""
+        if self._sectors is None:
+            columns = left.shape[0]
+            return left.reshape(columns, -1).conj() @ right.reshape(columns, -1).T
+        w = np.conj(left).reshape(-1)
+        w *= right.reshape(-1)
+        labels = self._sectors.reshape(-1)
+        sums = np.bincount(labels, w.real) + 1j * np.bincount(labels, w.imag)
+        charges = np.arange(sums.size) + self._min_charge
+        k = self._columns_of(charges + lowered_left)
+        l = self._columns_of(charges + lowered_right)
+        dim = self.cfg.dim
+        keep = (k >= 0) & (k < dim) & (l >= 0) & (l < dim)
+        gram = np.zeros((dim, dim), dtype=complex)
+        gram[k[keep], l[keep]] = sums[keep]
+        return gram
 
     def gram_matrix(self, kind: MomentKind, i: int, j: int | None) -> np.ndarray:
         key = (kind, i, j)
         cached = self._grams.get(key)
         if cached is not None:
             return cached
+        state = self._state
+        s = self._signs or (0,) * self.cfg.n_modes
         if kind == "mean":
-            q = self._gram(self.basis, self._number_weighted((i,)))
+            q = self._gram(state, self._number_weighted((i,)))
         elif kind == "normal":
-            q = self._gram(_annihilated(self.basis, i), _annihilated(self.basis, j))
+            q = self._gram(_annihilated(state, i), _annihilated(state, j), s[i], s[j])
         elif kind == "anomalous":
-            both = _annihilated(_annihilated(self.basis, j), i)
-            q = self._gram(self.basis, both)
+            both = _annihilated(_annihilated(state, j), i)
+            q = self._gram(state, both, 0, s[i] + s[j])
         elif kind == "number_product":
-            q = self._gram(self.basis, self._number_weighted((i, j)))
+            q = self._gram(state, self._number_weighted((i, j)))
         else:
             raise ValueError(f"unknown moment kind {kind!r}")
         self._grams[key] = q
@@ -445,8 +560,7 @@ class _PreparedNetwork:
 
     def per_sample(self, kind: MomentKind, i: int, j: int | None = None) -> np.ndarray:
         q = self.gram_matrix(kind, i, j)
-        c = self.coeffs
-        return ((c.conj() @ q) * c).sum(1)
+        return ((self._coeffs_conj @ q) * self.coeffs).sum(1)
 
     def sample_states(self) -> Iterator[np.ndarray]:
         for c in self.coeffs:

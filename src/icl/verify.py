@@ -131,9 +131,10 @@ def run_default_suite(cfg: RunConfig) -> list[CheckResult]:
     Every grid point needs herald clicks, so a point whose idler mode is
     empty is a ``ConfigError``, raised before any oracle work."""
     grid = [(float(T), float(n_b)) for n_b in cfg.n_b_values for T in cfg.transmittance_values()]
-    for T, n_b in grid:
-        topo = interferometer.two_spdc(cfg.v_a, cfg.v_b, T, n_b)
-        if gaussian.mean_photon_number(interferometer.output_state(topo, 0.7), MODE_IDLER) <= 0.0:
+    topos = [interferometer.two_spdc(cfg.v_a, cfg.v_b, T, n_b) for T, n_b in grid]
+    idler = interferometer.output_states(topos, [0.7] * len(topos)).mean_photon_numbers(MODE_IDLER)
+    for (T, n_b), n_i in zip(grid, idler):
+        if n_i <= 0.0:
             raise ConfigError(f"herald mode is empty at T={T:g} N_B={n_b:g}: no click to verify")
     results: list[CheckResult] = []
     for T, n_b in grid:

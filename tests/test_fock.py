@@ -15,6 +15,7 @@ from icl import fock
 from icl import gaussian as g
 from icl import heralding as her
 from icl import interferometer as itf
+from icl import verify
 
 
 def tolerance(est: fock.OracleEstimate, floor: float = 1e-8) -> float:
@@ -555,3 +556,141 @@ class TestEngineEquivalence:
             i, j = rng.choice(n_modes, size=2, replace=False)
             res = fock.wick_residual(cfg, elements, int(i), int(j))
             assert abs(res.value) < max(1e-8, 3.0 * res.std_error)
+
+
+def charged_thermal_networks():
+    """(label, n_modes, elements) of thermal networks with a conserved charge:
+    the three layouts, and the first three such networks with N_B <= 0.35
+    that ``verify.random_low_gain_network`` draws at seed 5.  At cutoff 8
+    their mean preparation leak stays below its guard."""
+    networks = [
+        ("2spdc", 4, itf.network_elements(itf.two_spdc(0.2, 0.15, 0.4, 0.3), 0.7)),
+        ("attenuated", 5, itf.network_elements(itf.two_spdc_attenuated(0.2, 0.1, 0.6, 0.3, 0.4), 0.3)),
+        ("3spdc", 5, itf.network_elements(itf.three_spdc(0.15, 0.2, 0.1, 0.5, 0.25), 1.1)),
+    ]
+    rng = np.random.default_rng(5)
+    while len(networks) < 6:
+        n_modes, elements = verify.random_low_gain_network(rng)
+        faint = any(isinstance(el, g.ThermalInput) and el.n_bar <= 0.35 for el in elements)
+        if faint and fock._mode_charges(n_modes, elements) is not None:
+            networks.append((f"random-{len(networks) - 3}", n_modes, elements))
+    return networks
+
+
+@pytest.fixture
+def stack_path(monkeypatch):
+    """Force every network onto the stack path, with fresh prepared runs on
+    both sides of the switch."""
+    fock._prepare.cache_clear()
+    yield lambda: monkeypatch.setattr(fock, "_mode_charges", lambda n_modes, elements: None)
+    fock._prepare.cache_clear()
+
+
+class TestChargeSectors:
+    def test_mode_charges_of_the_layouts(self):
+        two = itf.network_elements(itf.two_spdc(0.1, 0.1, 0.5, 0.5), 0.3)
+        assert fock._mode_charges(4, two) == (1, 1, -1, -1)
+        attenuated = itf.network_elements(itf.two_spdc_attenuated(0.1, 0.1, 0.5, 0.5, 0.5), 0.3)
+        assert fock._mode_charges(5, attenuated)[4] == 1
+        three = itf.network_elements(itf.three_spdc(0.1, 0.1, 0.1, 0.5, 0.5), 0.3)
+        assert fock._mode_charges(5, three)[4] == -1
+        no_charge = (
+            g.TwoModeSqueezer(0, 1, g.SqueezerParams(0.1)),
+            g.BeamSplitter(0, 1, math.sqrt(0.5), math.sqrt(0.5)),
+        )
+        assert fock._mode_charges(2, no_charge) is None
+
+    def test_merged_path_matches_stack_path(self, stack_path):
+        cutoff = 8
+        networks = charged_thermal_networks()
+        runs, estimates = {}, {}
+        for path in ("merged", "stack"):
+            if path == "stack":
+                stack_path()
+            for label, n_modes, elements in networks:
+                cfg = fock.FockConfig(cutoff=cutoff, n_modes=n_modes, mc_samples=300, seed=4)
+                run = fock._PreparedNetwork(cfg, elements, guarded=False)
+                assert (run._sectors is not None) == (path == "merged"), label
+                runs[path, label] = run
+                i, j = 0, n_modes - 1
+                estimates[path, label] = [
+                    fock.oracle_moment(cfg, elements, "mean", i),
+                    fock.oracle_moment(cfg, elements, "normal", i, j),
+                    fock.oracle_moment(cfg, elements, "anomalous", i, j),
+                    fock.oracle_moment(cfg, elements, "number_product", i, j),
+                    fock.oracle_conditional(cfg, elements, j, i),
+                    fock.wick_residual(cfg, elements, j, i),
+                ]
+        for label, n_modes, _ in networks:
+            merged, stack = runs["merged", label], runs["stack", label]
+            np.testing.assert_allclose(merged.basis, stack.basis, rtol=0, atol=1e-13)
+            for i in range(n_modes):
+                for j in range(n_modes):
+                    for kind in ("mean", "normal", "anomalous", "number_product"):
+                        np.testing.assert_allclose(
+                            merged.gram_matrix(kind, i, j), stack.gram_matrix(kind, i, j),
+                            rtol=0, atol=1e-13, err_msg=f"{label} {kind} {i} {j}",
+                        )
+            for got, expected in zip(estimates["merged", label], estimates["stack", label]):
+                assert abs(got.value - expected.value) <= 1e-13, label
+                assert abs(got.std_error - expected.std_error) <= 1e-13, label
+
+    def test_leak_guard_fires_on_the_merged_path(self, monkeypatch):
+        elements = itf.network_elements(itf.two_spdc(0.1, 0.1, 0.5, 0.3), 0.3)
+        cfg = fock.FockConfig(cutoff=8, n_modes=4, mc_samples=20, seed=1)
+        assert fock._PreparedNetwork(cfg, elements)._sectors is not None
+        first = elements[1]
+        assert isinstance(first, g.TwoModeSqueezer)
+        gate_blocks = fock._gate_blocks
+        # the first squeezer's n_a - n_b = 0 block, which holds every column
+        scaled = tuple(
+            (s, block * (1.0 + 1e-5) if s.start == 0 else block)
+            for s, block in gate_blocks(first, cfg.dim)
+        )
+        monkeypatch.setattr(
+            fock, "_gate_blocks", lambda el, d: scaled if el == first else gate_blocks(el, d)
+        )
+        with pytest.raises(fock.TruncationError, match="norm leakage"):
+            fock._PreparedNetwork(cfg, elements)
+
+    def test_leak_guard_holds_per_sector(self, monkeypatch):
+        element = g.TwoModeSqueezer(0, 1, g.SqueezerParams(0.1))
+        dim = 6
+        scaled = tuple(
+            (s, block * (1.0 + 2e-6) if s.start == 0 else block)
+            for s, block in fock._gate_blocks(element, dim)
+        )
+        monkeypatch.setattr(fock, "_gate_blocks", lambda el, d: scaled)
+        # one unit state |k, 0> in each sector n_0 - n_1 = k
+        state = np.zeros((1, dim, dim), dtype=complex)
+        state[0, :, 0] = 1.0
+        sectors = np.subtract.outer(np.arange(dim), np.arange(dim)) + dim - 1
+        # the whole state's norm moves by 8e-7, inside the tolerance ...
+        fock._apply_to_stack(state, element, dim - 1)
+        # ... while the vacuum's sector moves by 2e-6
+        with pytest.raises(fock.TruncationError, match="norm leakage 2.0"):
+            fock._apply_to_stack(state, element, dim - 1, sectors)
+
+    def test_merged_state_stays_far_below_the_stack(self):
+        # a charged thermal network at cutoff 20: its stack would hold
+        # 21 x 21^4 amplitudes (65 MB), the merged state 21^4 (3.1 MB)
+        elements = itf.network_elements(itf.two_spdc(0.05, 0.05, 0.5, 0.3), 0.7)
+        cfg = fock.FockConfig(cutoff=20, n_modes=4, mc_samples=100, seed=1)
+        stack_bytes = cfg.dim ** (cfg.n_modes + 1) * 16
+        for el in elements:
+            # the cached gates (3.1 MB each at this cutoff) are the same on
+            # either path; build them before tracing
+            if isinstance(el, (g.TwoModeSqueezer, g.BeamSplitter)):
+                fock._gate_blocks(el, cfg.dim)
+        tracemalloc.start()
+        try:
+            run = fock._PreparedNetwork(cfg, elements)
+            run.per_sample("normal", itf.MODE_IDLER, itf.MODE_PLUS)
+            run.per_sample("anomalous", itf.MODE_IDLER, itf.MODE_PLUS)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert run._sectors is not None
+        # a few merged-state temporaries (about 16 MB); the stack path holds
+        # three copies of the stack at once while applying a gate
+        assert peak < stack_bytes / 3
