@@ -82,6 +82,12 @@ class RunConfig:
     out_dir: str | None
     tolerance_scale: float
 
+    def __post_init__(self) -> None:
+        # here rather than in the parser, so that a --seed override is
+        # checked too
+        if self.seed < 0:
+            raise ConfigError("oracle.seed must be >= 0")
+
     def transmittance_values(self) -> np.ndarray:
         if isinstance(self.transmittance, SweepSpec):
             return self.transmittance.values()

@@ -25,29 +25,35 @@ signal-idler number difference of an SU(1,1) interferometer).  Port column
 |k> then lives in its own sector, Q = s_port * k, so the cutoff+1 columns
 are propagated merged, as one dense state, and each Gram matrix is one pass
 over it, summed per charge: a thermal network costs about one dense state.
-A network without such a charge propagates its columns as a stack.
+Such a Gram matrix has one nonzero diagonal, so each per-sample quadratic
+form is one pass over the sample table along it.  A network without such a
+charge propagates its columns as a stack.
 
 The kernels use the same block structure.  A gate acts on one contiguous
 copy of the state or stack with its two modes leading, so that a block of
 fixed conserved number is a strided slice of the flat pair index, and each
 block is one matmul with a cached contiguous block matrix: about
 (2d^3 + d)/3 multiply-adds per pair column instead of d^4 for the dense
-(d^2 x d^2) unitary.  A ladder operator is an index shift along its mode's
-axis.  A thermal port's cutoff+1 basis states are counted whole against the
-dimension guard before anything is allocated, merged or not; so is its
-samples x (cutoff+1) table of coherent coefficients, before any amplitude
-is drawn.
+(d^2 x d^2) unitary, which is never built on the oracle path.  A ladder
+operator is an index shift along its mode's axis.  A thermal port's
+cutoff+1 basis states are counted whole against the dimension guard before
+anything is allocated, merged or not; so is its samples x (cutoff+1) table
+of coherent coefficients, before any amplitude is drawn.
 
 All results are deterministic given (seed, config): sample k draws from a
 generator seeded with (seed, k), independent of batching or evaluation
 order.  The draws depend on nothing else, so one set per (seed, samples,
 n_bar) is shared by every network that asks for it, such as the points of
-a verify grid and their lowered-cutoff runs.
+a verify grid and their lowered-cutoff runs.  numpy's SeedSequence hash of
+every (seed, k) is computed at once, on arrays; each sample then only seeds
+its PCG64 from those words and draws two normals, bit for bit the draws of
+``sample_thermal_amplitude``.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
 from typing import Callable, Iterator, Literal
@@ -105,6 +111,8 @@ class FockConfig:
             raise ValueError("n_modes must be >= 1")
         if self.mc_samples < 2:
             raise ValueError("mc_samples must be >= 2: one sample has no error bar")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if (self.cutoff + 1) ** self.n_modes > MAX_DIMENSION:
             raise ResourceLimitError(
                 f"(cutoff+1)^n_modes = {(self.cutoff + 1) ** self.n_modes} "
@@ -163,14 +171,17 @@ def _pair_blocks(element: Element, dim: int) -> list[slice]:
 
 
 @lru_cache(maxsize=128)
-def two_mode_gate(element: Element, dim: int) -> np.ndarray:
-    """Unitary of a two-mode element on the (dim*dim)-dimensional pair space.
+def _gate_blocks(element: Element, dim: int) -> tuple[tuple[slice, np.ndarray], ...]:
+    """Each block of a two-mode element's unitary, as a contiguous read-only
+    matrix, with its slice of the flat pair index (``_pair_blocks``).
 
-    The first kron factor is the element's first mode.  The gate is the
-    exponential of the truncated generator, built block by block over the
-    number the element conserves: U = V exp(-i L) V^dag on each block, with
-    (L, V) the eigendecomposition of the Hermitian i * generator.  Within a
-    block the generator is tridiagonal, coupling (n_a, n_b) to n_a + 1.
+    The unitary is the exponential of the truncated generator, built block
+    by block over the number the element conserves: U = V exp(-i L) V^dag
+    on each block, with (L, V) the eigendecomposition of the Hermitian
+    i * generator.  Within a block the generator is tridiagonal, coupling
+    (n_a, n_b) to n_a + 1.  Blocks b and 2*(dim-1) - b have the same size
+    and share one stacked eigendecomposition; a squeezer's blocks m and -m
+    are the same matrix and share one block.
     """
     if isinstance(element, TwoModeSqueezer):
         p = element.params
@@ -184,33 +195,37 @@ def two_mode_gate(element: Element, dim: int) -> np.ndarray:
         raising, lowering, b_shift = angle, -angle, 0
     else:
         raise TypeError(f"{element!r} is not a two-mode element")
+    slices = _pair_blocks(element, dim)
     roots = np.sqrt(np.arange(dim))
-    gate = np.zeros((dim * dim, dim * dim), dtype=complex)
-    for s in _pair_blocks(element, dim):
-        n_a, n_b = np.divmod(np.arange(dim * dim)[s], dim)
+    pair = np.arange(dim * dim)
+    blocks: list = [None] * len(slices)
+    for b in range(dim):
+        # block b and its mirror both hold b + 1 pair states
+        mirror = len(slices) - 1 - b
+        members = [b] if b == mirror or isinstance(element, TwoModeSqueezer) else [b, mirror]
+        n_a, n_b = np.divmod(np.stack([pair[slices[m]] for m in members]), dim)
         # raising n_a on the subdiagonal, its adjoint partner above it
-        x = roots[n_a[:-1] + 1] * roots[n_b[:-1] + b_shift]
-        k = np.arange(x.size)
-        gen = np.zeros((n_a.size, n_a.size), dtype=complex)
-        gen[k + 1, k] = raising * x
-        gen[k, k + 1] = lowering * x
+        x = roots[n_a[:, :-1] + 1] * roots[n_b[:, :-1] + b_shift]
+        k = np.arange(b)
+        gen = np.zeros((len(members), b + 1, b + 1), dtype=complex)
+        gen[:, k + 1, k] = raising * x
+        gen[:, k, k + 1] = lowering * x
         lam, vec = np.linalg.eigh(1j * gen)
-        gate[s, s] = (vec * np.exp(-1j * lam)) @ vec.conj().T
-    gate.flags.writeable = False
-    return gate
-
-
-@lru_cache(maxsize=128)
-def _gate_blocks(element: Element, dim: int) -> tuple[tuple[slice, np.ndarray], ...]:
-    """Each block of ``two_mode_gate`` as a contiguous (read-only) copy, with
-    its slice of the flat pair index."""
-    gate = two_mode_gate(element, dim)
-    blocks = []
-    for s in _pair_blocks(element, dim):
-        block = np.ascontiguousarray(gate[s, s])
-        block.flags.writeable = False
-        blocks.append((s, block))
+        unitary = (vec * np.exp(-1j * lam)[:, np.newaxis]) @ vec.conj().swapaxes(1, 2)
+        unitary.flags.writeable = False
+        blocks[b] = (slices[b], unitary[0])
+        blocks[mirror] = (slices[mirror], unitary[-1])
     return tuple(blocks)
+
+
+def two_mode_gate(element: Element, dim: int) -> np.ndarray:
+    """Unitary of a two-mode element on the (dim*dim)-dimensional pair space,
+    assembled from ``_gate_blocks``; the first kron factor is the element's
+    first mode.  The oracle applies the blocks and never builds this."""
+    gate = np.zeros((dim * dim, dim * dim), dtype=complex)
+    for s, block in _gate_blocks(element, dim):
+        gate[s, s] = block
+    return gate
 
 
 def _apply_to_stack(
@@ -330,13 +345,92 @@ def sample_thermal_amplitude(seed: int, index: int, n_bar: float) -> complex:
     return complex(re, im)
 
 
+# numpy's SeedSequence constants (numpy/random/bit_generator.pyx)
+_HASH_INIT_A, _HASH_MULT_A = 0x43B0D7E5, 0x931E8875
+_HASH_INIT_B, _HASH_MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_POOL_SIZE = 4
+_MASK32 = 0xFFFFFFFF
+
+
+def _hasher(const: int, mult: int) -> Callable[[np.ndarray], np.ndarray]:
+    """SeedSequence's hashmix on uint32 arrays, with its running constant."""
+
+    def hashmix(value: np.ndarray) -> np.ndarray:
+        nonlocal const
+        value = value ^ np.uint32(const)
+        const = const * mult & _MASK32
+        value = value * np.uint32(const)
+        return value ^ (value >> np.uint32(16))
+
+    return hashmix
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """SeedSequence's mix of two uint32 arrays."""
+    result = x * np.uint32(_MIX_MULT_L) - y * np.uint32(_MIX_MULT_R)
+    return result ^ (result >> np.uint32(16))
+
+
+def _seed_words(seed: int, count: int) -> np.ndarray:
+    """``np.random.SeedSequence((seed, k)).generate_state(4, np.uint64)`` for
+    every k < count (< 2**32), as a (count, 4) array.
+
+    This is SeedSequence's hash run on uint32 arrays, one entry per k.  Its
+    entropy is the seed's 32-bit words, least significant first, then k.
+    """
+    seed = operator.index(seed)
+    if seed < 0:
+        raise ValueError("seed must be >= 0")
+    entropy = []
+    while True:
+        entropy.append(np.full(count, seed & _MASK32, dtype=np.uint32))
+        seed >>= 32
+        if not seed:
+            break
+    entropy.append(np.arange(count, dtype=np.uint32))
+    hashmix = _hasher(_HASH_INIT_A, _HASH_MULT_A)
+    zero = np.zeros(count, dtype=np.uint32)
+    pool = [hashmix(entropy[i] if i < len(entropy) else zero) for i in range(_POOL_SIZE)]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = _mix(pool[dst], hashmix(word))
+    # generate_state: eight uint32 words cycled from the pool, paired
+    # little-endian into four uint64
+    output = _hasher(_HASH_INIT_B, _HASH_MULT_B)
+    words = np.stack([output(pool[i % _POOL_SIZE]) for i in range(8)], axis=1)
+    return words.astype("<u4").view("<u8").astype(np.uint64)
+
+
+class _SeedWords:
+    """Hands a PCG64 the SeedSequence words ``_seed_words`` computed for it:
+    the four uint64 words a PCG64 asks for, whatever the request.
+
+    ``_thermal_amplitudes`` registers it as numpy's ISeedSequence when it
+    first draws, so that importing icl does not import numpy.random.
+    """
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
+        return self.words
+
+
 @lru_cache(maxsize=4)
 def _thermal_amplitudes(seed: int, mc_samples: int, n_bar: float) -> np.ndarray:
-    """``sample_thermal_amplitude(seed, k, n_bar)`` for k < mc_samples, drawn
-    once and shared (read-only) by every network with these settings."""
-    alphas = np.array(
-        [sample_thermal_amplitude(seed, k, n_bar) for k in range(mc_samples)], dtype=complex
-    )
+    """``sample_thermal_amplitude(seed, k, n_bar)`` for k < mc_samples, bit
+    for bit, drawn once and shared (read-only) by every network with these
+    settings.  Only the PCG64 seeding and two normals are per sample."""
+    np.random.bit_generator.ISeedSequence.register(_SeedWords)
+    normals = np.empty((mc_samples, 2))
+    for k, words in enumerate(_seed_words(seed, mc_samples)):
+        normals[k] = np.random.Generator(np.random.PCG64(_SeedWords(words))).standard_normal(2)
+    alphas = (math.sqrt(0.5 * n_bar) * normals).view(complex)[:, 0]
     alphas.flags.writeable = False
     return alphas
 
@@ -486,6 +580,7 @@ class _PreparedNetwork:
         if guarded and self.thermal is None and top_level_mass(self._state[0]) > TOP_LEVEL_TOL:
             raise TruncationError("cutoff-level occupation exceeds the truncation guard")
         self._grams: dict[tuple, np.ndarray] = {}
+        self._offsets: dict[tuple, int] = {}
 
     def _columns_of(self, charges: np.ndarray) -> np.ndarray:
         """Port column whose part of the merged state has each charge."""
@@ -523,6 +618,10 @@ class _PreparedNetwork:
         operators behind ``left`` and ``right`` remove: a_i removes s_i."""
         if self._sectors is None:
             columns = left.shape[0]
+            if columns == 1:
+                # a vacuum network's one column: a plain reduction, which
+                # BLAS cannot spread over threads
+                return np.sum(np.conj(left) * right).reshape(1, 1)
             return left.reshape(columns, -1).conj() @ right.reshape(columns, -1).T
         w = np.conj(left).reshape(-1)
         w *= right.reshape(-1)
@@ -545,22 +644,32 @@ class _PreparedNetwork:
         state = self._state
         s = self._signs or (0,) * self.cfg.n_modes
         if kind == "mean":
-            q = self._gram(state, self._number_weighted((i,)))
+            left, right, lowered = state, self._number_weighted((i,)), (0, 0)
         elif kind == "normal":
-            q = self._gram(_annihilated(state, i), _annihilated(state, j), s[i], s[j])
+            left, right, lowered = _annihilated(state, i), _annihilated(state, j), (s[i], s[j])
         elif kind == "anomalous":
-            both = _annihilated(_annihilated(state, j), i)
-            q = self._gram(state, both, 0, s[i] + s[j])
+            left, right, lowered = state, _annihilated(_annihilated(state, j), i), (0, s[i] + s[j])
         elif kind == "number_product":
-            q = self._gram(state, self._number_weighted((i, j)))
+            left, right, lowered = state, self._number_weighted((i, j)), (0, 0)
         else:
             raise ValueError(f"unknown moment kind {kind!r}")
+        q = self._gram(left, right, *lowered)
+        if self._sectors is not None:
+            # column k meets column l = k + offset only: Q_kl is nonzero on
+            # that one diagonal
+            self._offsets[key] = self._columns_of(lowered[1] - lowered[0])
         self._grams[key] = q
         return q
 
     def per_sample(self, kind: MomentKind, i: int, j: int | None = None) -> np.ndarray:
         q = self.gram_matrix(kind, i, j)
-        return ((self._coeffs_conj @ q) * self.coeffs).sum(1)
+        if self._sectors is None:
+            return ((self._coeffs_conj @ q) * self.coeffs).sum(1)
+        d = self._offsets[kind, i, j]
+        k = slice(max(0, -d), self.cfg.dim - max(0, d))
+        l = slice(k.start + d, k.stop + d)
+        # einsum, not BLAS: no thread pool for a samples x (cutoff+1) pass
+        return np.einsum("sk,sk,k->s", self._coeffs_conj[:, k], self.coeffs[:, l], np.diagonal(q, d))
 
     def sample_states(self) -> Iterator[np.ndarray]:
         for c in self.coeffs:

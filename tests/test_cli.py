@@ -357,6 +357,19 @@ oracle.seed = 3
         assert cli.main(["verify", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
         assert "oracle.samples must be >= 2" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "text, argv",
+        [("oracle.seed = -3", []), ("oracle.seed = 3", ["--seed", "-3"])],
+        ids=["config", "override"],
+    )
+    def test_negative_seed_is_config_error(self, tmp_path, capsys, text, argv):
+        text = self.VERIFY_CFG.replace("noise.N_B = 0", "noise.N_B = 0.5").replace("oracle.seed = 3", text)
+        cfg = write_cfg(tmp_path, text)
+        assert cli.main(["verify", "--config", str(cfg), "--out", str(tmp_path / "out")] + argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: oracle.seed must be >= 0")
+        assert "Traceback" not in err
+
     def test_vacuum_checks_pass_near_envelope_edge(self, tmp_path):
         # at V = 0.2 and cutoff 12 vacuum moments are up to 5e-7 off, above the 1e-8 floor
         text = self.VERIFY_CFG.replace("V_A = 0.1", "V_A = 0.2").replace("V_B = 0.1", "V_B = 0.2")

@@ -18,6 +18,9 @@ from icl import interferometer as itf
 from icl import verify
 
 
+EPS = np.finfo(float).eps
+
+
 def tolerance(est: fock.OracleEstimate, floor: float = 1e-8) -> float:
     return max(floor, 3.0 * est.std_error)
 
@@ -241,10 +244,58 @@ GATES = [
 
 class TestFastPath:
     def test_shared_amplitudes_are_the_per_sample_draws(self):
-        alphas = fock._thermal_amplitudes(5, 300, 0.7)
-        assert alphas.shape == (300,)
-        for k, alpha in enumerate(alphas):
-            assert complex(alpha) == fock.sample_thermal_amplitude(5, k, 0.7)
+        # one-, two-, three- and five-word seeds; k past 2**16 at the last
+        for seed, samples in ((5, 300), (2**32 + 7, 300), (2**64 + 11, 300), (2**130 + 3, 300),
+                              (9, 2**16 + 200)):
+            alphas = fock._thermal_amplitudes(seed, samples, 0.7)
+            assert alphas.shape == (samples,)
+            assert not alphas.flags.writeable
+            for k, alpha in enumerate(alphas):
+                assert complex(alpha) == fock.sample_thermal_amplitude(seed, k, 0.7), (seed, k)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2024, 2**32 - 1, 2**32, 950100010, 2**70 + 5, 2**200 + 1])
+    def test_hashed_words_are_seed_sequence_states(self, seed):
+        words = fock._seed_words(seed, 2**16 + 5)
+        assert words.dtype == np.uint64 and words.shape == (2**16 + 5, 4)
+        for k in (0, 1, 2, 1000, 2**16 - 1, 2**16, 2**16 + 4):
+            expected = np.random.SeedSequence((seed, k)).generate_state(4, np.uint64)
+            assert np.array_equal(words[k], expected), k
+
+    def test_negative_seed_raises_before_drawing(self, monkeypatch):
+        monkeypatch.setattr(fock.np.random, "PCG64", None)
+        with pytest.raises(ValueError, match="seed must be >= 0"):
+            fock._thermal_amplitudes(-3, 10, 0.5)
+        with pytest.raises(ValueError, match="seed must be >= 0"):
+            fock.FockConfig(cutoff=4, n_modes=2, seed=-1)
+
+    def test_oracle_path_seeds_no_generator_and_builds_no_dense_gate(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("called on the oracle path")
+
+        monkeypatch.setattr(fock, "sample_thermal_amplitude", forbidden)
+        monkeypatch.setattr(fock, "two_mode_gate", forbidden)
+        monkeypatch.setattr(fock.np.random, "default_rng", forbidden)
+        monkeypatch.setattr(fock.np.random, "SeedSequence", forbidden)
+        fock._prepare.cache_clear()
+        fock._gate_blocks.cache_clear()
+        elements = itf.network_elements(itf.two_spdc(0.1, 0.1, 0.5, 0.4), 0.3)
+        cfg = fock.FockConfig(cutoff=6, n_modes=4, mc_samples=50, seed=2**40 + 1)
+        fock.wick_residual(cfg, elements, itf.MODE_IDLER, itf.MODE_PLUS)
+        fock._prepare.cache_clear()
+
+    def test_one_diagonal_forms_equal_the_full_product(self):
+        elements = itf.network_elements(itf.two_spdc(0.2, 0.15, 0.4, 0.6), 0.3)
+        cfg = fock.FockConfig(cutoff=8, n_modes=4, mc_samples=400, seed=6)
+        run = fock._PreparedNetwork(cfg, elements, guarded=False)
+        assert run._sectors is not None
+        c = run.coeffs
+        for kind, i, j in (("mean", 2, None), ("normal", 0, 2), ("normal", 3, 2),
+                           ("anomalous", 2, 3), ("anomalous", 1, 2), ("number_product", 2, 3)):
+            q = run.gram_matrix(kind, i, j)
+            full = ((c.conj() @ q) * c).sum(1)
+            # both sum the same dim products per sample, in different orders
+            bound = ((np.abs(c) @ np.abs(q)) * np.abs(c)).sum(1)
+            assert np.all(np.abs(run.per_sample(kind, i, j) - full) <= 4 * cfg.dim * EPS * bound)
 
     def test_coefficient_table_matches_single_sample_loop(self):
         alphas = fock._thermal_amplitudes(3, 200, 1.0)
@@ -376,6 +427,21 @@ class TestBlockKernels:
                 lam, vec = np.linalg.eigh(1j * gen[block])
                 expected[block] = (vec * np.exp(-1j * lam)) @ vec.conj().T
             assert np.array_equal(fock.two_mode_gate(element, dim), expected)
+
+    @pytest.mark.parametrize(
+        "element",
+        GATES + [g.TwoModeSqueezer(2, 0, g.SqueezerParams(0.12, 1.7)), g.BeamSplitter(0, 1, 0.8, -0.6)],
+        ids=["squeezer", "splitter", "squeezer-b", "splitter-b"],
+    )
+    def test_gate_blocks_equal_per_block_eigh(self, element):
+        for dim in range(2, 22):
+            gen, _ = truncated_generator(element, dim)
+            blocks = fock._gate_blocks(element, dim)
+            assert [s for s, _ in blocks] == fock._pair_blocks(element, dim)
+            for s, block in blocks:
+                lam, vec = np.linalg.eigh(1j * gen[s, s])
+                assert np.array_equal(block, (vec * np.exp(-1j * lam)) @ vec.conj().T)
+                assert block.flags.c_contiguous and not block.flags.writeable
 
     def test_norm_leak_guard_is_live(self, monkeypatch):
         element = GATES[0]
