@@ -77,8 +77,8 @@ class RunConfig:
     eta: float
     nu: float
     cutoff: int
-    samples: int
-    seed: int
+    samples: int  # validated, but the oracle samples nothing
+    seed: int  # draws verify's random Wick-residual networks
     out_dir: str | None
     tolerance_scale: float
 

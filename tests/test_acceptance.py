@@ -63,7 +63,7 @@ def test_criterion_2_oracle_equivalence_low_gain():
         for T in (0.0, 0.25, 0.5, 0.75, 1.0):
             topo = itf.two_spdc(0.1, 0.1, T, n_b)
             elements = itf.network_elements(topo, phi)
-            cfg = fock.FockConfig(cutoff=12, n_modes=4, mc_samples=10_000, seed=7)
+            cfg = fock.FockConfig(cutoff=12, n_modes=4, mc_samples=10_000)
             state = itf.output_state(topo, phi)
             for mode in range(4):
                 est = fock.oracle_moment(cfg, elements, "mean", mode)
@@ -239,7 +239,7 @@ def test_criterion_5d_snr_scaling_shapes():
 
 def test_criterion_6_wick_identity_verification():
     start = time.perf_counter()
-    results = verify.wick_residual_checks(n_networks=20, cutoff=12, samples=2_000, seed=99)
+    results = verify.wick_residual_checks(n_networks=20, cutoff=12, seed=99)
     elapsed = time.perf_counter() - start
     n_pass = sum(r.passed for r in results)
     ok = n_pass == len(results) and elapsed < 120.0

@@ -346,12 +346,6 @@ oracle.seed = 3
         cfg = write_cfg(tmp_path, self.VERIFY_CFG.replace("oracle.cutoff = 12", "oracle.cutoff = 100"))
         assert cli.main(["verify", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 4
 
-    def test_sample_table_guard_exit_code(self, tmp_path, capsys):
-        text = self.VERIFY_CFG.replace("noise.N_B = 0", "noise.N_B = 0.5")
-        cfg = write_cfg(tmp_path, text.replace("oracle.samples = 200", "oracle.samples = 1000000"))
-        assert cli.main(["verify", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 4
-        assert "coherent coefficients exceed" in capsys.readouterr().err
-
     def test_one_sample_is_config_error(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, self.VERIFY_CFG.replace("oracle.samples = 200", "oracle.samples = 1"))
         assert cli.main(["verify", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
@@ -379,6 +373,14 @@ oracle.seed = 3
         assert cli.main(["verify", "--config", str(cfg), "--out", str(out)]) == 0
         assert (out / "verify_report.txt").read_text().endswith("40/40 checks passed\n")
 
+    def test_checks_pass_at_the_presets_backgrounds(self, tmp_path):
+        # N_B = 10 and 100 are the fig2, fig4 and fig5 backgrounds
+        text = self.VERIFY_CFG.replace("T.count = 2", "T.count = 5")
+        cfg = write_cfg(tmp_path, text.replace("noise.N_B = 0", "noise.N_B = 0, 10, 100"))
+        out = tmp_path / "out"
+        assert cli.main(["verify", "--config", str(cfg), "--out", str(out)]) == 0
+        assert (out / "verify_report.txt").read_text().endswith("110/110 checks passed\n")
+
     @pytest.mark.parametrize(
         "old, new",
         [
@@ -400,7 +402,7 @@ oracle.seed = 3
         "old, new, bound",
         [
             ("gain.V_A = 0.1", "gain.V_A = 0.5", "squeezer gain 0.5"),
-            ("noise.N_B = 0", "noise.N_B = 2", "thermal occupation 2.0"),
+            ("noise.N_B = 0", "noise.N_B = 200", "thermal occupation 200.0"),
         ],
     )
     def test_outside_oracle_envelope_is_config_error(self, tmp_path, capsys, old, new, bound):
