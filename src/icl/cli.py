@@ -8,8 +8,10 @@ matching file exists on disk.  CSV output is deterministic: one header row,
 12-significant-digit numbers, LF endings, rows ordered with N_B outermost,
 then T, then phase.
 
-Exit codes: 0 success, 2 config error, 3 verification failure, 4 resource
-or truncation guard.
+Exit codes: 0 success, 2 config error (including a network outside the
+oracle's envelope), 3 verification failure, 4 the oracle's memory guard or
+a norm leak in its kernels.  Truncation never refuses a check: each oracle
+number carries its truncation error bar.
 """
 
 from __future__ import annotations

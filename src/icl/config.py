@@ -77,7 +77,6 @@ class RunConfig:
     eta: float
     nu: float
     cutoff: int
-    samples: int  # validated, but the oracle samples nothing
     seed: int  # draws verify's random Wick-residual networks
     out_dir: str | None
     tolerance_scale: float
@@ -249,10 +248,10 @@ def run_config_from_mapping(mapping: dict[str, str]) -> RunConfig:
         raise ConfigError("verify.tolerance_scale must be positive")
 
     cutoff = _as_int(mapping, "oracle.cutoff", 12)
-    samples = _as_int(mapping, "oracle.samples", 10_000)
-    if cutoff < 1:
-        raise ConfigError("oracle.cutoff must be >= 1")
-    if samples < 2:
+    if cutoff < 4:
+        raise ConfigError("oracle.cutoff must be >= 4")
+    # validated as documented, though the oracle samples nothing
+    if _as_int(mapping, "oracle.samples", 10_000) < 2:
         raise ConfigError("oracle.samples must be >= 2")
 
     return RunConfig(
@@ -269,7 +268,6 @@ def run_config_from_mapping(mapping: dict[str, str]) -> RunConfig:
         eta=eta,
         nu=nu,
         cutoff=cutoff,
-        samples=samples,
         seed=_as_int(mapping, "oracle.seed", 0),
         out_dir=mapping.get("output.dir"),
         tolerance_scale=tolerance_scale,

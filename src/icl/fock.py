@@ -6,10 +6,13 @@ a two-mode squeezer), so its truncated generator is block-diagonal in that
 number; each block is exponentiated exactly through a Hermitian
 eigendecomposition.  Every element is therefore unitary on the truncated
 space and norm is conserved to machine precision; truncation shows up as
-occupation piling at the cutoff.  The guards reject the worst of it, and
-every estimate, vacuum or thermal, carries the rest as its error bar: the
-larger of its differences from the same estimate at cutoff - 1 and at
-cutoff - 2.
+occupation piling at the cutoff, which every estimate, vacuum or thermal,
+carries as its error bar: the larger of its differences from the same
+estimate at cutoff - 1 and at cutoff - 2.  No estimate is refused for its
+truncation.  The oracle refuses for three reasons only: a network outside
+its envelope (``OracleEnvelopeError``), a prepared stack that would exceed
+the dimension guard (``ResourceLimitError``), and a gate that leaks norm
+(``TruncationError``, a kernel bug).
 
 A thermal input is averaged exactly, in the displaced frame.  Its P
 function is a Gaussian over coherent amplitudes alpha with <|alpha|^2> =
@@ -42,7 +45,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from typing import Callable, Iterator, Literal
+from typing import Callable, Literal
 
 import numpy as np
 
@@ -61,7 +64,6 @@ MAX_ORACLE_GAIN = 0.3
 MAX_ORACLE_THERMAL = 100.0
 
 NORM_LEAK_TOL = 1e-6
-TOP_LEVEL_TOL = 1e-6
 
 # Gauss-Hermite nodes and weights of a standard normal, exact to degree 5
 _NODES = (-math.sqrt(3.0), 0.0, math.sqrt(3.0))
@@ -69,7 +71,8 @@ _WEIGHTS = (1.0 / 6.0, 2.0 / 3.0, 1.0 / 6.0)
 
 
 class TruncationError(RuntimeError):
-    """The cutoff is too small for the requested network or inputs."""
+    """A gate leaked norm on the truncated space, where every gate is
+    unitary by construction: a kernel bug, not truncation."""
 
 
 class OracleEnvelopeError(ValueError):
@@ -77,17 +80,19 @@ class OracleEnvelopeError(ValueError):
 
 
 class ResourceLimitError(RuntimeError):
-    """An oracle array (a state, or a prepared network's psi0/psi1 stack
-    with its lowered copies) would exceed the dimension guard."""
+    """A prepared network's psi0/psi1 stack, with its lowered copies, would
+    exceed the dimension guard."""
 
 
 @dataclass(frozen=True)
 class FockConfig:
     """Truncation settings for one oracle run.
 
-    ``cutoff`` is the largest photon number kept per mode (inclusive).
-    ``mc_samples`` is kept, and validated as ``oracle.samples`` is, for
-    callers that still read it; the oracle samples nothing and ignores it.
+    ``cutoff`` is the largest photon number kept per mode (inclusive).  An
+    estimate needs at least 4, but its own runs at cutoff - 1 and cutoff - 2
+    are configs too, so any cutoff >= 1 constructs.  ``mc_samples`` is kept,
+    and validated as ``oracle.samples`` is, for callers that still read it;
+    the oracle samples nothing and ignores it.
     """
 
     cutoff: int
@@ -101,11 +106,6 @@ class FockConfig:
             raise ValueError("n_modes must be >= 1")
         if self.mc_samples < 2:
             raise ValueError("mc_samples must be >= 2")
-        if (self.cutoff + 1) ** self.n_modes > MAX_DIMENSION:
-            raise ResourceLimitError(
-                f"(cutoff+1)^n_modes = {(self.cutoff + 1) ** self.n_modes} "
-                f"exceeds the {MAX_DIMENSION} dimension guard"
-            )
 
     @property
     def dim(self) -> int:
@@ -118,12 +118,11 @@ class OracleEstimate:
 
     ``std_error`` is the larger of |value - value at cutoff - 1| and
     |value - value at cutoff - 2|: the same network run one and two levels
-    lower estimates the bias that amplitude pushed past the cutoff leaves,
-    which the guards bound only as a probability.  Both are needed, since
-    convergence in the cutoff can alternate between odd and even cutoffs or
-    stall over a pair of them.  A thermal average is exact, so there is no
-    statistical part.  ``value`` is complex for cross moments and real
-    otherwise.
+    lower estimates the bias that amplitude pushed past the cutoff leaves.
+    Both are needed, since convergence in the cutoff can alternate between
+    odd and even cutoffs or stall over a pair of them.  A thermal average is
+    exact, so there is no statistical part.  ``value`` is complex for cross
+    moments and real otherwise.
     """
 
     value: complex | float
@@ -285,16 +284,6 @@ def _annihilated(stack: np.ndarray, mode: int) -> np.ndarray:
     return out
 
 
-def top_level_mass(psi: np.ndarray) -> float:
-    """Largest per-mode probability of sitting at the cutoff level."""
-    worst = 0.0
-    for axis in range(psi.ndim):
-        sl = [slice(None)] * psi.ndim
-        sl[axis] = -1
-        worst = max(worst, float(np.sum(np.abs(psi[tuple(sl)]) ** 2)))
-    return worst
-
-
 # ---------------------------------------------------------------------------
 # Prepared networks
 # ---------------------------------------------------------------------------
@@ -345,9 +334,8 @@ def _inner(left: np.ndarray, right: np.ndarray) -> complex:
 class _PreparedNetwork:
     """The network run on vacuum, psi0, and on a thermal network also on
     |1> at the port, psi1: ``states`` is the (1 or 2,) + (dim,)*n_modes
-    stack.  ``guarded=False`` turns the top-level guard off.  Only a vacuum
-    network has that guard; a thermal network is judged on its error bar
-    alone.
+    stack.  No network is refused for its truncation: an estimate is judged
+    on its error bar alone.
 
     ``moment`` reads a moment of psi0 and, on a thermal network, adds its
     displaced-frame shift averaged over the quadrature nodes: the port
@@ -358,7 +346,7 @@ class _PreparedNetwork:
     of psi0.
     """
 
-    def __init__(self, cfg: FockConfig, elements: tuple[Element, ...], guarded: bool = True):
+    def __init__(self, cfg: FockConfig, elements: tuple[Element, ...]):
         self.thermal = _validate_elements(cfg, elements)
         dim = cfg.dim
         columns = 1 if self.thermal is None else 2
@@ -379,8 +367,6 @@ class _PreparedNetwork:
             if not isinstance(el, ThermalInput):
                 stack = _apply_to_stack(stack, el, cfg.cutoff)
         self.states = np.ascontiguousarray(stack)
-        if guarded and self.thermal is None and top_level_mass(self.states[0]) > TOP_LEVEL_TOL:
-            raise TruncationError("cutoff-level occupation exceeds the truncation guard")
         self._lowered: dict[int, np.ndarray] = {}
         self._probability: np.ndarray | None = None
         self._moments: dict[tuple, complex] = {}
@@ -472,10 +458,8 @@ class _PreparedNetwork:
 
 
 @lru_cache(maxsize=3)
-def _prepare(
-    cfg: FockConfig, elements: tuple[Element, ...], guarded: bool = True
-) -> _PreparedNetwork:
-    return _PreparedNetwork(cfg, elements, guarded)
+def _prepare(cfg: FockConfig, elements: tuple[Element, ...]) -> _PreparedNetwork:
+    return _PreparedNetwork(cfg, elements)
 
 
 # ---------------------------------------------------------------------------
@@ -483,9 +467,9 @@ def _prepare(
 # ---------------------------------------------------------------------------
 
 
-def simulate_network(cfg: FockConfig, elements: tuple[Element, ...]) -> Iterator[np.ndarray]:
-    """Yield the final truncated state vector, of shape (cutoff+1,) * n_modes,
-    of a network without a thermal port.
+def simulate_network(cfg: FockConfig, elements: tuple[Element, ...]) -> np.ndarray:
+    """The final truncated state vector, of shape (cutoff+1,) * n_modes, of
+    a network without a thermal port.
 
     A thermal port makes the output a mixture, which no single state holds:
     average its moments with ``oracle_moment`` instead.
@@ -496,7 +480,7 @@ def simulate_network(cfg: FockConfig, elements: tuple[Element, ...]) -> Iterator
             "a network with a thermal port has no single output state; "
             "use oracle_moment for its moments"
         )
-    return iter([_prepare(cfg, elements).states[0].copy()])
+    return _prepare(cfg, elements).states[0].copy()
 
 
 def _estimate(
@@ -511,18 +495,19 @@ def _estimate(
 
     Convergence in the cutoff need not be monotone: a residual can alternate
     in sign between odd and even cutoffs, or stall over a pair of them, so
-    either difference alone can read far below the error.  The lowered runs
-    have their guard off: the top-level mass they add only widens the error
-    bar.
+    either difference alone can read far below the error.  Both lowered runs
+    keep at least two photons per mode, so a cutoff below 4, at which the
+    error bar would miss one difference or both, is a ``ValueError``.
     """
+    if cfg.cutoff < 4:
+        raise ValueError("the oracle needs cutoff >= 4 for its truncation term")
     elements = tuple(elements)
     run = _prepare(cfg, elements)
     estimate = value(*(run.moment(*m) for m in moments))
     trunc = 0.0
     for cutoff in (cfg.cutoff - 1, cfg.cutoff - 2):
-        if cutoff >= 2:
-            lowered = _prepare(replace(cfg, cutoff=cutoff), elements, False)
-            trunc = max(trunc, abs(estimate - value(*(lowered.moment(*m) for m in moments))))
+        lowered = _prepare(replace(cfg, cutoff=cutoff), elements)
+        trunc = max(trunc, abs(estimate - value(*(lowered.moment(*m) for m in moments))))
     return OracleEstimate(estimate, trunc)
 
 

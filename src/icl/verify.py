@@ -3,7 +3,8 @@ engine and the conditional-statistics machinery on shared networks.
 
 Each check compares one quantity on one network, with tolerance
 max(1e-8, 3 * standard error) scaled by the config's tolerance factor; the
-oracle's standard error is its truncation term alone.  The suite is
+oracle's standard error is its truncation term alone, on vacuum and thermal
+networks alike, and no network is refused for its truncation.  The suite is
 deterministic given the config.  The oracle seed (``oracle.seed``, or
 ``--seed``) only draws the five random networks of
 ``wick_residual_checks``, and ``oracle.samples`` has no effect: the oracle

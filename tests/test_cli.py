@@ -346,6 +346,23 @@ oracle.seed = 3
         cfg = write_cfg(tmp_path, self.VERIFY_CFG.replace("oracle.cutoff = 12", "oracle.cutoff = 100"))
         assert cli.main(["verify", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 4
 
+    @pytest.mark.parametrize("cutoff", [1, 3])
+    def test_cutoff_below_four_is_config_error(self, tmp_path, capsys, cutoff):
+        text = self.VERIFY_CFG.replace("oracle.cutoff = 12", f"oracle.cutoff = {cutoff}")
+        cfg = write_cfg(tmp_path, text)
+        assert cli.main(["verify", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        assert "oracle.cutoff must be >= 4" in capsys.readouterr().err
+
+    def test_cutoff_level_mass_is_no_refusal(self, tmp_path):
+        # a vacuum grid point with more than 1e-6 of probability at the
+        # cutoff level is checked on its error bar, not refused
+        text = self.VERIFY_CFG.replace("V_A = 0.1", "V_A = 0.26473").replace("V_B = 0.1", "V_B = 0.241625")
+        text = text.replace("object.T.min = 0.0\nobject.T.max = 1.0\nobject.T.count = 2", "object.T = 0.948744")
+        cfg = write_cfg(tmp_path, text)
+        out = tmp_path / "out"
+        assert cli.main(["verify", "--config", str(cfg), "--out", str(out)]) == 0
+        assert (out / "verify_report.txt").read_text().endswith("12/12 checks passed\n")
+
     def test_one_sample_is_config_error(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, self.VERIFY_CFG.replace("oracle.samples = 200", "oracle.samples = 1"))
         assert cli.main(["verify", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2

@@ -34,7 +34,7 @@ def truncation_term(run, cutoff: int, n_modes: int) -> float:
 class TestGates:
     def test_squeezed_vacuum_schmidt_coefficients(self):
         cfg = fock.FockConfig(cutoff=10, n_modes=2)
-        psi = next(fock.simulate_network(cfg, (g.TwoModeSqueezer(0, 1, g.SqueezerParams(0.1)),)))
+        psi = fock.simulate_network(cfg, (g.TwoModeSqueezer(0, 1, g.SqueezerParams(0.1)),))
         v, u = 0.1, 1.1
         for n in range(6):
             expected = math.sqrt(1.0 / u) * math.sqrt(v / u) ** n
@@ -44,7 +44,7 @@ class TestGates:
 
     def test_identity_network_keeps_vacuum(self):
         cfg = fock.FockConfig(cutoff=5, n_modes=3)
-        psi = next(fock.simulate_network(cfg, ()))
+        psi = fock.simulate_network(cfg, ())
         assert abs(psi[0, 0, 0]) == pytest.approx(1.0, abs=1e-12)
         assert np.sum(np.abs(psi) ** 2) == pytest.approx(1.0, abs=1e-12)
 
@@ -105,11 +105,11 @@ class TestThermalAverage:
         nodes, weights = np.polynomial.hermite_e.hermegauss(5)
         for n_modes, els in thermal:
             cfg = fock.FockConfig(cutoff=12, n_modes=n_modes)
-            three = fock._PreparedNetwork(cfg, els, guarded=False)
+            three = fock._PreparedNetwork(cfg, els)
             with monkeypatch.context() as m:
                 m.setattr(fock, "_NODES", tuple(nodes))
                 m.setattr(fock, "_WEIGHTS", tuple(weights / math.sqrt(2.0 * math.pi)))
-                other = fock._PreparedNetwork(cfg, els, guarded=False)
+                other = fock._PreparedNetwork(cfg, els)
             port = n_modes - 1
             kinds = [("mean", 0, None), ("mean", port, None), ("normal", 0, port),
                      ("anomalous", 0, 1), ("number_product", 0, port), ("number_product", 1, 1)]
@@ -139,12 +139,12 @@ class TestThermalAverage:
         assert est.std_error == truncation_term(lambda cfg: fock.oracle_moment(cfg, els, "mean", 0), 10, 2)
         assert est.std_error > 0.0
 
-    def test_simulate_network_yields_the_vacuum_run_only(self):
+    def test_simulate_network_returns_the_vacuum_run_only(self):
         cfg = fock.FockConfig(cutoff=8, n_modes=2)
         splitter = g.BeamSplitter(0, 1, math.sqrt(0.5), math.sqrt(0.5))
-        states = list(fock.simulate_network(cfg, (g.TwoModeSqueezer(0, 1, g.SqueezerParams(0.1)),)))
-        assert len(states) == 1
-        assert np.sum(np.abs(states[0]) ** 2) == pytest.approx(1.0, abs=1e-10)
+        psi = fock.simulate_network(cfg, (g.TwoModeSqueezer(0, 1, g.SqueezerParams(0.1)),))
+        assert psi.shape == (9, 9)
+        assert np.sum(np.abs(psi) ** 2) == pytest.approx(1.0, abs=1e-10)
         with pytest.raises(ValueError, match="oracle_moment"):
             fock.simulate_network(cfg, (g.ThermalInput(1, 0.5), splitter))
 
@@ -219,7 +219,7 @@ class TestThermalMixture:
     @pytest.mark.parametrize("label", ["2spdc", "bright", "random"])
     def test_displaced_frame_equals_fock_mixture(self, label, kind):
         n_modes, cutoff, elements = mixture_networks()[label]
-        run = fock._PreparedNetwork(fock.FockConfig(cutoff=cutoff, n_modes=n_modes), elements, False)
+        run = fock._PreparedNetwork(fock.FockConfig(cutoff=cutoff, n_modes=n_modes), elements)
         checked = 0
         for key, ref in fock_mixture_moments(label).items():
             if key[0] == kind:
@@ -231,8 +231,11 @@ class TestThermalMixture:
 
 class TestGuards:
     def test_dimension_guard(self):
-        with pytest.raises(fock.ResourceLimitError):
-            fock.FockConfig(cutoff=100, n_modes=4)
+        # the config holds no dimension check; the prepared network's count,
+        # (n_modes+1) x 101^4 amplitudes, is the one memory guard
+        cfg = fock.FockConfig(cutoff=100, n_modes=4)
+        with pytest.raises(fock.ResourceLimitError, match="dimension guard"):
+            fock.oracle_moment(cfg, (), "mean", 0)
 
     def test_one_sample_rejected(self):
         # the oracle ignores mc_samples, but validates it as oracle.samples is
@@ -262,16 +265,32 @@ class TestGuards:
         els = (g.TwoModeSqueezer(0, 1, g.SqueezerParams(0.25)),)
         est = fock.oracle_moment(fock.FockConfig(cutoff=10, n_modes=2), els, "mean", 0)
         assert abs(est.value - 0.25) <= est.std_error
-        # the cutoff-8 run behind the error bar would trip the top-level guard
-        lowered = fock._PreparedNetwork(fock.FockConfig(cutoff=8, n_modes=2), els, guarded=False)
-        assert fock.top_level_mass(lowered.states[0]) > fock.TOP_LEVEL_TOL
 
-    def test_truncation_guard_on_tiny_cutoff(self):
-        cfg = fock.FockConfig(cutoff=1, n_modes=2)
-        with pytest.raises(fock.TruncationError):
+    @pytest.mark.parametrize("cutoff", [1, 2, 3])
+    def test_cutoff_below_four_rejected(self, cutoff):
+        # the cutoff - 1 and cutoff - 2 runs behind the error bar need cutoff >= 4
+        cfg = fock.FockConfig(cutoff=cutoff, n_modes=2)
+        with pytest.raises(ValueError, match="cutoff >= 4"):
             fock.oracle_moment(
-                cfg, (g.TwoModeSqueezer(0, 1, g.SqueezerParams(0.3)),), "mean", 0
+                cfg, (g.TwoModeSqueezer(0, 1, g.SqueezerParams(0.1)),), "mean", 0
             )
+
+    def test_cutoff_level_mass_is_judged_on_the_error_bar(self):
+        # 2.6e-6 of probability sits at the cutoff level of mode 0 or 1:
+        # the network is answered, and its error bar covers the truncation
+        squeezer = g.TwoModeSqueezer(0, 1, g.SqueezerParams(0.183))
+        els = (squeezer, g.BeamSplitter(0, 1, math.sqrt(0.5), math.sqrt(0.5)))
+        cfg = fock.FockConfig(cutoff=12, n_modes=2)
+        psi = fock.simulate_network(cfg, els)
+        assert np.sum(np.abs(psi[-1]) ** 2) > 2e-6
+        state = g.run_elements(2, els)
+        for kind, i, j, expected in (
+            ("mean", 0, None, g.mean_photon_number(state, 0)),
+            ("anomalous", 0, 0, g.cross_moment(state, 0, 0, "anomalous")),
+        ):
+            est = fock.oracle_moment(cfg, els, kind, i, j)
+            assert est.std_error > 0.0
+            assert abs(est.value - expected) <= tolerance(est), (kind, est, expected)
 
 
 class TestAgainstClosedForms:
@@ -519,7 +538,7 @@ class TestBlockKernels:
     def test_readout_matches_tensordot_contraction(self):
         topo = itf.two_spdc(0.2, 0.15, 0.4, 0.5)
         cfg = fock.FockConfig(cutoff=6, n_modes=4)
-        run = fock._PreparedNetwork(cfg, itf.network_elements(topo, 0.3), guarded=False)
+        run = fock._PreparedNetwork(cfg, itf.network_elements(topo, 0.3))
         assert run.states.flags.c_contiguous
         a = np.diag(np.sqrt(np.arange(1, cfg.dim)), 1).astype(complex)
 
@@ -538,10 +557,9 @@ class TestBlockKernels:
         np.testing.assert_allclose(run._beta(i), m * alphas + n * alphas.conj(), rtol=0, atol=1e-13)
 
     def test_stack_size_guard_raises_before_allocating(self):
-        # (cutoff+1)^n_modes = 32^4 passes the config guard, and so would a
-        # thermal port's two columns, psi0 and psi1, on their own; with a
-        # lowered copy kept per mode they would need 2 x 5 x 32^4 amplitudes
-        # (168 MB)
+        # a thermal port's two columns, psi0 and psi1, would pass the guard
+        # on their own, 2 x 32^4 amplitudes; with a lowered copy kept per
+        # mode they would need 2 x 5 x 32^4 amplitudes (168 MB)
         cfg = fock.FockConfig(cutoff=31, n_modes=4)
         elements = (g.ThermalInput(3, 0.5), g.BeamSplitter(0, 3, math.sqrt(0.5), math.sqrt(0.5)))
         tracemalloc.start()
