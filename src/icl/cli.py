@@ -61,9 +61,9 @@ def write_csv(path: Path, header: list[str], rows: list[list[float]]) -> None:
 
 def cmd_fringe(cfg: RunConfig, out_dir: Path) -> int:
     if not isinstance(cfg.transmittance, float):
-        raise ConfigError("fringe needs a scalar object.T")
+        raise ConfigError("object.T: fringe needs a scalar")
     if len(cfg.n_b_values) != 1:
-        raise ConfigError("fringe needs a single noise.N_B value")
+        raise ConfigError("noise.N_B: fringe needs a single value")
     T, n_b = cfg.transmittance, cfg.n_b_values[0]
     v_c = cfg.v_c if cfg.kind is TopologyKind.THREE_SPDC else None
     detector = heralding.DetectorModel(cfg.eta, cfg.nu)
@@ -111,7 +111,7 @@ def _scan_grid(cfg: RunConfig) -> tuple[np.ndarray, np.ndarray, dict[float, slic
 
 def cmd_scan_visibility(cfg: RunConfig, out_dir: Path) -> int:
     if cfg.v_c is None:
-        raise ConfigError("scan-visibility needs gain.V_C for the three-source column")
+        raise ConfigError("gain.V_C: scan-visibility needs it for the three-source column")
     T, n_b, blocks = _scan_grid(cfg)
     v_a, v_b = cfg.v_a, cfg.v_b
     table = {

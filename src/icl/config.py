@@ -11,7 +11,9 @@ for example::
     noise.N_B = 0, 10, 100
 
 ``object.T`` is either a scalar or a sweep (min/max/count plus linear or
-log spacing).  Unknown keys are rejected so typos fail loudly.
+log spacing).  Unknown keys are rejected so typos fail loudly.  Each
+physical value is admitted through the model type that owns its range, and
+that type's ValueError becomes a ConfigError that starts with the key.
 """
 
 from __future__ import annotations
@@ -22,8 +24,15 @@ from pathlib import Path
 
 import numpy as np
 
-from .gaussian import reject_subnormal
-from .interferometer import TopologyKind
+from .fock import MIN_CUTOFF
+from .gaussian import ObjectPort, PhaseShift, SqueezerParams, ThermalInput, reject_subnormal
+from .heralding import DetectorModel
+from .interferometer import MODE_BACKGROUND, MODE_SIGNAL_B, Topology, TopologyKind
+
+# A sanity bound of the command line, not a model rule: the largest gain of
+# the presets, the tests and the benchmark.  The CLI's engine cross-checks
+# fail from V = 1000 on, and far above it so do the engine's eigenvalue calls.
+MAX_GAIN = 100.0
 
 
 class ConfigError(ValueError):
@@ -37,6 +46,15 @@ def _check_normal(key: str, values) -> None:
             reject_subnormal(key, value)
     except ValueError as err:
         raise ConfigError(str(err)) from err
+
+
+def _admit(key: str, owner, *args):
+    """``owner(*args)``, its ValueError turned into a ConfigError that
+    starts with ``key``."""
+    try:
+        return owner(*args)
+    except ValueError as err:
+        raise ConfigError(f"{key}: {err}") from err
 
 
 @dataclass(frozen=True)
@@ -79,7 +97,6 @@ class RunConfig:
     cutoff: int
     seed: int  # draws verify's random Wick-residual networks
     out_dir: str | None
-    tolerance_scale: float
 
     def __post_init__(self) -> None:
         # here rather than in the parser, so that a --seed override is
@@ -117,7 +134,6 @@ _KNOWN_KEYS = {
     "oracle.samples",
     "oracle.seed",
     "output.dir",
-    "verify.tolerance_scale",
 }
 
 
@@ -176,6 +192,17 @@ def _as_float_list(mapping: dict[str, str], key: str, default: tuple[float, ...]
     return values
 
 
+def _gain(mapping: dict[str, str], key: str) -> SqueezerParams | None:
+    """The pair source of a gain key, or None where the key is absent."""
+    value = _as_float(mapping, key)
+    if value is None:
+        return None
+    params = _admit(key, SqueezerParams, value)
+    if value > MAX_GAIN:
+        raise ConfigError(f"{key}: gain {value!r} is above {MAX_GAIN:g}, the largest gain tested")
+    return params
+
+
 def run_config_from_mapping(mapping: dict[str, str]) -> RunConfig:
     unknown = sorted(set(mapping) - _KNOWN_KEYS)
     if unknown:
@@ -187,22 +214,13 @@ def run_config_from_mapping(mapping: dict[str, str]) -> RunConfig:
     except ValueError as err:
         raise ConfigError(f"topology.kind: unknown kind {kind_text!r}") from err
 
-    v_a = _as_float(mapping, "gain.V_A")
-    v_b = _as_float(mapping, "gain.V_B")
-    if v_a is None or v_b is None:
+    a, b, c = (_gain(mapping, key) for key in ("gain.V_A", "gain.V_B", "gain.V_C"))
+    if a is None or b is None:
         raise ConfigError("gain.V_A and gain.V_B are required")
-    v_c = _as_float(mapping, "gain.V_C")
-    if any(v is not None and v < 0.0 for v in (v_a, v_b, v_c)):
-        raise ConfigError("gains must be >= 0")
+    # scan-visibility reads V_C on every layout, for its three-source column
+    _admit("gain.V_C", Topology.check_crystal_c, kind, c if kind is TopologyKind.THREE_SPDC else None)
     attenuation = _as_float(mapping, "attenuation")
-    if kind is TopologyKind.THREE_SPDC and v_c is None:
-        raise ConfigError("gain.V_C is required for the three-source layout")
-    if kind is TopologyKind.TWO_SPDC_ATTENUATED and attenuation is None:
-        raise ConfigError("attenuation is required for the attenuated layout")
-    if kind is not TopologyKind.TWO_SPDC_ATTENUATED and attenuation is not None:
-        raise ConfigError("attenuation only applies to the attenuated layout")
-    if attenuation is not None and not 0.0 <= attenuation <= 1.0:
-        raise ConfigError("attenuation must lie in [0, 1]")
+    _admit("attenuation", Topology.check_attenuation, kind, attenuation)
 
     sweep_keys = [k for k in mapping if k.startswith("object.T.")]
     if "object.T" in mapping and sweep_keys:
@@ -210,67 +228,62 @@ def run_config_from_mapping(mapping: dict[str, str]) -> RunConfig:
     transmittance: float | SweepSpec
     if "object.T" in mapping:
         transmittance = _as_float(mapping, "object.T")
+        t_values = [transmittance]
     elif sweep_keys:
         lo = _as_float(mapping, "object.T.min")
         hi = _as_float(mapping, "object.T.max")
         count = _as_int(mapping, "object.T.count")
         if lo is None or hi is None or count is None:
             raise ConfigError("object.T sweeps need min, max, and count")
-        transmittance = SweepSpec(lo, hi, count, mapping.get("object.T.spacing", "linear"))
+        spacing = mapping.get("object.T.spacing", "linear")
+        transmittance = _admit("object.T", SweepSpec, lo, hi, count, spacing)
+        t_values = transmittance.values().tolist()
     else:
         raise ConfigError("object.T (scalar or sweep) is required")
-    t_values = (
-        transmittance.values()
-        if isinstance(transmittance, SweepSpec)
-        else np.array([transmittance])
-    )
-    if t_values.min() < 0.0 or t_values.max() > 1.0:
-        raise ConfigError("object.T values must lie in [0, 1]")
-    _check_normal("object.T", t_values.tolist())
+    for T in t_values:
+        _admit("object.T", ObjectPort, T)
 
     n_b_values = _as_float_list(mapping, "noise.N_B", (0.0,))
-    if any(n < 0.0 for n in n_b_values):
-        raise ConfigError("noise.N_B values must be >= 0")
+    for n_b in n_b_values:
+        _admit("noise.N_B", ThermalInput, MODE_BACKGROUND, n_b)
 
+    phase_min = _as_float(mapping, "phase.min", 0.0)
+    phase_max = _as_float(mapping, "phase.max", math.pi)
+    # the network's phase element turns the fringe phase phi into 2 phi
+    _admit("phase.min", PhaseShift, MODE_SIGNAL_B, 2.0 * phase_min)
+    _admit("phase.max", PhaseShift, MODE_SIGNAL_B, 2.0 * phase_max)
     phase_count = _as_int(mapping, "phase.count", 64)
     if phase_count < 1:
         raise ConfigError("phase.count must be >= 1")
 
     eta = _as_float(mapping, "detector.eta", 1.0)
     nu = _as_float(mapping, "detector.nu", 0.0)
-    if not 0.0 < eta <= 1.0:
-        raise ConfigError("detector.eta must lie in (0, 1]")
-    if nu < 0.0:
-        raise ConfigError("detector.nu must be >= 0")
-
-    tolerance_scale = _as_float(mapping, "verify.tolerance_scale", 1.0)
-    if tolerance_scale <= 0.0:
-        raise ConfigError("verify.tolerance_scale must be positive")
+    _admit("detector.eta", DetectorModel, eta)
+    _admit("detector.nu", DetectorModel, 1.0, nu)
 
     cutoff = _as_int(mapping, "oracle.cutoff", 12)
-    if cutoff < 4:
-        raise ConfigError("oracle.cutoff must be >= 4")
+    if cutoff < MIN_CUTOFF:
+        raise ConfigError(f"oracle.cutoff must be >= {MIN_CUTOFF}")
     # validated as documented, though the oracle samples nothing
     if _as_int(mapping, "oracle.samples", 10_000) < 2:
         raise ConfigError("oracle.samples must be >= 2")
 
     return RunConfig(
         kind=kind,
-        v_a=v_a,
-        v_b=v_b,
-        v_c=v_c,
+        v_a=a.V,
+        v_b=b.V,
+        v_c=None if c is None else c.V,
         attenuation=attenuation,
         transmittance=transmittance,
         n_b_values=n_b_values,
-        phase_min=_as_float(mapping, "phase.min", 0.0),
-        phase_max=_as_float(mapping, "phase.max", math.pi),
+        phase_min=phase_min,
+        phase_max=phase_max,
         phase_count=phase_count,
         eta=eta,
         nu=nu,
         cutoff=cutoff,
         seed=_as_int(mapping, "oracle.seed", 0),
         out_dir=mapping.get("output.dir"),
-        tolerance_scale=tolerance_scale,
     )
 
 

@@ -58,6 +58,9 @@ from .gaussian import (
 )
 
 MAX_DIMENSION = 10**7
+# the smallest cutoff an estimate accepts: its truncation term runs the
+# network at cutoff - 2 too, which needs two photons per mode
+MIN_CUTOFF = 4
 MAX_ORACLE_GAIN = 0.3
 # a sanity bound, not an accuracy one: the largest background of the
 # bundled presets, and nothing above it is tested
@@ -89,10 +92,10 @@ class FockConfig:
     """Truncation settings for one oracle run.
 
     ``cutoff`` is the largest photon number kept per mode (inclusive).  An
-    estimate needs at least 4, but its own runs at cutoff - 1 and cutoff - 2
-    are configs too, so any cutoff >= 1 constructs.  ``mc_samples`` is kept,
-    and validated as ``oracle.samples`` is, for callers that still read it;
-    the oracle samples nothing and ignores it.
+    estimate needs at least MIN_CUTOFF, but its own runs at cutoff - 1 and
+    cutoff - 2 are configs too, so any cutoff >= 1 constructs.
+    ``mc_samples`` is kept, and validated as ``oracle.samples`` is, for
+    callers that still read it; the oracle samples nothing and ignores it.
     """
 
     cutoff: int
@@ -293,8 +296,6 @@ def _validate_elements(cfg: FockConfig, elements: tuple[Element, ...]) -> Therma
     thermal: ThermalInput | None = None
     for el in elements:
         if isinstance(el, ThermalInput):
-            if el.n_bar < 0.0:
-                raise ValueError("thermal occupation must be >= 0")
             if el.n_bar > MAX_ORACLE_THERMAL:
                 raise OracleEnvelopeError(
                     f"thermal occupation {el.n_bar} exceeds the oracle bound "
@@ -312,8 +313,6 @@ def _validate_elements(cfg: FockConfig, elements: tuple[Element, ...]) -> Therma
                 )
             modes = (el.mode_signal, el.mode_idler)
         elif isinstance(el, BeamSplitter):
-            if abs(el.t**2 + el.r**2 - 1.0) > 1e-12:
-                raise ValueError("non-unitary beam splitter element")
             modes = (el.mode_a, el.mode_b)
         elif isinstance(el, PhaseShift):
             modes = (el.mode,)
@@ -496,11 +495,12 @@ def _estimate(
     Convergence in the cutoff need not be monotone: a residual can alternate
     in sign between odd and even cutoffs, or stall over a pair of them, so
     either difference alone can read far below the error.  Both lowered runs
-    keep at least two photons per mode, so a cutoff below 4, at which the
-    error bar would miss one difference or both, is a ``ValueError``.
+    keep at least two photons per mode, so a cutoff below MIN_CUTOFF, at
+    which the error bar would miss one difference or both, is a
+    ``ValueError``.
     """
-    if cfg.cutoff < 4:
-        raise ValueError("the oracle needs cutoff >= 4 for its truncation term")
+    if cfg.cutoff < MIN_CUTOFF:
+        raise ValueError(f"the oracle needs cutoff >= {MIN_CUTOFF} for its truncation term")
     elements = tuple(elements)
     run = _prepare(cfg, elements)
     estimate = value(*(run.moment(*m) for m in moments))

@@ -51,6 +51,11 @@ def reject_subnormal(what: str, value: float) -> None:
         raise ValueError(f"{what} must be 0 or a normal float, got the subnormal {value!r}")
 
 
+def _check_occupation(n_bar: float) -> None:
+    if not (math.isfinite(n_bar) and n_bar >= 0.0):
+        raise ValueError(f"thermal occupation must be >= 0, got {n_bar!r}")
+
+
 @dataclass(frozen=True)
 class SqueezerParams:
     """Gain and phase of one parametric pair source.
@@ -97,8 +102,7 @@ class ObjectPort:
     def __post_init__(self) -> None:
         if not (math.isfinite(self.T) and 0.0 <= self.T <= 1.0):
             raise ValueError(f"transmittance must lie in [0, 1], got {self.T!r}")
-        if not (math.isfinite(self.N_B) and self.N_B >= 0.0):
-            raise ValueError(f"thermal occupation must be >= 0, got {self.N_B!r}")
+        _check_occupation(self.N_B)
         reject_subnormal("transmittance", self.T)
         reject_subnormal("thermal occupation", self.N_B)
 
@@ -128,6 +132,9 @@ class ThermalInput:
     mode: ModeId
     n_bar: float
 
+    def __post_init__(self) -> None:
+        _check_occupation(self.n_bar)
+
 
 @dataclass(frozen=True)
 class TwoModeSqueezer:
@@ -137,15 +144,26 @@ class TwoModeSqueezer:
     mode_idler: ModeId
     params: SqueezerParams
 
+    def __post_init__(self) -> None:
+        if self.mode_signal == self.mode_idler:
+            raise ValueError("squeezer needs two distinct modes")
+
 
 @dataclass(frozen=True)
 class BeamSplitter:
-    """Two-mode mixer: a -> t a + r b, b -> t b - r a (t, r real)."""
+    """Two-mode mixer: a -> t a + r b, b -> t b - r a (t, r real, t^2 + r^2 = 1)."""
 
     mode_a: ModeId
     mode_b: ModeId
     t: float
     r: float
+
+    def __post_init__(self) -> None:
+        if self.mode_a == self.mode_b:
+            raise ValueError("beam splitter needs two distinct modes")
+        norm = self.t * self.t + self.r * self.r
+        if not abs(norm - 1.0) <= 1e-12:
+            raise ValueError(f"non-unitary beam splitter: t^2 + r^2 = {norm!r}")
 
 
 @dataclass(frozen=True)
@@ -154,6 +172,10 @@ class PhaseShift:
 
     mode: ModeId
     phi: float
+
+    def __post_init__(self) -> None:
+        if not math.isfinite(self.phi):
+            raise ValueError(f"phase must be finite, got {self.phi!r}")
 
 
 Element = Union[ThermalInput, TwoModeSqueezer, BeamSplitter, PhaseShift]
@@ -235,11 +257,6 @@ def _frozen_moments(
 def _check_mode(n_modes: int, mode: ModeId) -> None:
     if not (0 <= mode < n_modes):
         raise ValueError(f"mode {mode} outside 0..{n_modes - 1}")
-
-
-def _check_occupation(n_bar: float) -> None:
-    if not (math.isfinite(n_bar) and n_bar >= 0.0):
-        raise ValueError(f"thermal occupation must be >= 0, got {n_bar!r}")
 
 
 def _real_diagonal(values: np.ndarray) -> np.ndarray:
@@ -425,18 +442,9 @@ def _element_maps(n_modes: int, column: Sequence[Element]) -> np.ndarray:
         _check_mode(n_modes, mode)
     if kind is PhaseShift:
         return stacked_map(*phase_coeffs(n_modes, modes[0], [el.phi for el in column]))
-    if modes[0] == modes[1]:
-        name = "squeezer" if kind is TwoModeSqueezer else "beam splitter"
-        raise ValueError(f"{name} needs two distinct modes")
     if kind is TwoModeSqueezer:
         return stacked_map(*squeezer_coeffs(n_modes, *modes, [el.params for el in column]))
-    t = np.array([el.t for el in column])
-    r = np.array([el.r for el in column])
-    norm = t * t + r * r
-    skew = np.abs(norm - 1.0) > 1e-12
-    if skew.any():
-        bad = float(norm[np.argmax(skew)])
-        raise ValueError(f"non-unitary beam splitter: t^2 + r^2 = {bad!r}")
+    t, r = [el.t for el in column], [el.r for el in column]
     return stacked_map(*beam_splitter_coeffs(n_modes, *modes, t, r))
 
 
@@ -540,7 +548,6 @@ def run_elements_batch(n_modes: int, networks: Sequence[Iterable[Element]]) -> G
         for el in elements:
             if isinstance(el, ThermalInput):
                 _check_mode(n, el.mode)
-                _check_occupation(el.n_bar)
                 sigma[b, el.mode, el.mode] = 1.0 + el.n_bar
                 sigma[b, n + el.mode, n + el.mode] = el.n_bar
         ops.append([el for el in elements if not isinstance(el, ThermalInput)])

@@ -66,9 +66,10 @@ class TopologyKind(Enum):
 class Topology:
     """One interferometer configuration.
 
-    ``crystal_c`` must be present exactly for the three-source layout and
-    ``attenuation`` (intensity transmittance of the B-signal arm) exactly
-    for the attenuated layout.
+    ``crystal_c`` (gain V_C) must be present exactly for the three-source
+    layout and ``attenuation`` (intensity transmittance of the B-signal arm,
+    in [0, 1]) exactly for the attenuated layout.  Each rule is a static
+    check, so that a caller can apply it to one field alone.
     """
 
     kind: TopologyKind
@@ -79,12 +80,20 @@ class Topology:
     attenuation: float | None = None
 
     def __post_init__(self) -> None:
-        if (self.crystal_c is not None) != (self.kind is TopologyKind.THREE_SPDC):
-            raise ValueError("crystal_c is required exactly for the three-source layout")
-        if (self.attenuation is not None) != (self.kind is TopologyKind.TWO_SPDC_ATTENUATED):
+        self.check_crystal_c(self.kind, self.crystal_c)
+        self.check_attenuation(self.kind, self.attenuation)
+
+    @staticmethod
+    def check_crystal_c(kind: TopologyKind, crystal_c: SqueezerParams | None) -> None:
+        if (crystal_c is not None) != (kind is TopologyKind.THREE_SPDC):
+            raise ValueError("V_C (crystal_c) is required exactly for the three-source layout")
+
+    @staticmethod
+    def check_attenuation(kind: TopologyKind, attenuation: float | None) -> None:
+        if (attenuation is not None) != (kind is TopologyKind.TWO_SPDC_ATTENUATED):
             raise ValueError("attenuation is required exactly for the attenuated layout")
-        if self.attenuation is not None and not (0.0 <= self.attenuation <= 1.0):
-            raise ValueError(f"attenuation must lie in [0, 1], got {self.attenuation!r}")
+        if attenuation is not None and not (0.0 <= attenuation <= 1.0):
+            raise ValueError(f"attenuation must lie in [0, 1], got {attenuation!r}")
 
 
 def two_spdc(v_a: float, v_b: float, T: float, n_b: float = 0.0) -> Topology:

@@ -2,13 +2,12 @@
 engine and the conditional-statistics machinery on shared networks.
 
 Each check compares one quantity on one network, with tolerance
-max(1e-8, 3 * standard error) scaled by the config's tolerance factor; the
-oracle's standard error is its truncation term alone, on vacuum and thermal
-networks alike, and no network is refused for its truncation.  The suite is
-deterministic given the config.  The oracle seed (``oracle.seed``, or
-``--seed``) only draws the five random networks of
-``wick_residual_checks``, and ``oracle.samples`` has no effect: the oracle
-averages a thermal port exactly and samples nothing.
+max(1e-8, 3 * standard error); the oracle's standard error is its
+truncation term alone, on vacuum and thermal networks alike, and no network
+is refused for its truncation.  The suite is deterministic given the
+config.  The oracle seed (``oracle.seed``, or ``--seed``) only draws the
+five random networks of ``wick_residual_checks``, and ``oracle.samples``
+has no effect: the oracle averages a thermal port exactly and samples nothing.
 """
 
 from __future__ import annotations
@@ -35,19 +34,12 @@ class CheckResult:
         return abs(self.got - self.expected) <= self.tol
 
 
-def _check(name: str, expected: complex, est: fock.OracleEstimate, scale: float) -> CheckResult:
-    tol = max(1e-8, 3.0 * est.std_error) * scale
-    return CheckResult(name, expected, est.value, tol)
+def _check(name: str, expected: complex, est: fock.OracleEstimate) -> CheckResult:
+    return CheckResult(name, expected, est.value, max(1e-8, 3.0 * est.std_error))
 
 
 def two_spdc_checks(
-    v_a: float,
-    v_b: float,
-    T: float,
-    n_b: float,
-    phi: float,
-    cutoff: int,
-    tolerance_scale: float = 1.0,
+    v_a: float, v_b: float, T: float, n_b: float, phi: float, cutoff: int
 ) -> list[CheckResult]:
     """Engine-vs-oracle comparison of every detected moment of one network."""
     topo = interferometer.two_spdc(v_a, v_b, T, n_b)
@@ -70,7 +62,7 @@ def two_spdc_checks(
          fock.oracle_conditional(cfg, elements, i, s)),
         ("wick_residual", 0.0, fock.wick_residual(cfg, elements, i, s)),
     )
-    return [_check(f"{label} [{tag}]", expected, est, tolerance_scale) for label, expected, est in rows]
+    return [_check(f"{label} [{tag}]", expected, est) for label, expected, est in rows]
 
 
 def random_low_gain_network(rng: np.random.Generator) -> tuple[int, tuple]:
@@ -107,12 +99,7 @@ def random_low_gain_network(rng: np.random.Generator) -> tuple[int, tuple]:
     return n_modes, tuple(elements)
 
 
-def wick_residual_checks(
-    n_networks: int,
-    cutoff: int,
-    seed: int,
-    tolerance_scale: float = 1.0,
-) -> list[CheckResult]:
+def wick_residual_checks(n_networks: int, cutoff: int, seed: int) -> list[CheckResult]:
     """Fourth-order factorization residual on random low-gain networks."""
     rng = np.random.default_rng(seed)
     results = []
@@ -121,9 +108,7 @@ def wick_residual_checks(
         i, j = (int(m) for m in rng.choice(n_modes, size=2, replace=False))
         cfg = fock.FockConfig(cutoff=cutoff, n_modes=n_modes)
         res = fock.wick_residual(cfg, elements, i, j)
-        results.append(
-            _check(f"wick_residual_random_{k:02d} (modes {i},{j})", 0.0, res, tolerance_scale)
-        )
+        results.append(_check(f"wick_residual_random_{k:02d} (modes {i},{j})", 0.0, res))
     return results
 
 
@@ -140,25 +125,8 @@ def run_default_suite(cfg: RunConfig) -> list[CheckResult]:
             raise ConfigError(f"herald mode is empty at T={T:g} N_B={n_b:g}: no click to verify")
     results: list[CheckResult] = []
     for T, n_b in grid:
-        results.extend(
-            two_spdc_checks(
-                cfg.v_a,
-                cfg.v_b,
-                T,
-                n_b,
-                phi=0.7,
-                cutoff=cfg.cutoff,
-                tolerance_scale=cfg.tolerance_scale,
-            )
-        )
-    results.extend(
-        wick_residual_checks(
-            n_networks=5,
-            cutoff=cfg.cutoff,
-            seed=cfg.seed + 1000,
-            tolerance_scale=cfg.tolerance_scale,
-        )
-    )
+        results.extend(two_spdc_checks(cfg.v_a, cfg.v_b, T, n_b, phi=0.7, cutoff=cfg.cutoff))
+    results.extend(wick_residual_checks(n_networks=5, cutoff=cfg.cutoff, seed=cfg.seed + 1000))
     return results
 
 

@@ -2,11 +2,12 @@
 exit-code contract."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from icl import cli, closed_forms
+from icl import cli, closed_forms, fock
 from icl.config import ConfigError, load_run_config, parse_config_text, run_config_from_mapping
 from icl.interferometer import TopologyKind
 
@@ -92,7 +93,6 @@ class TestConfigParsing:
             ("object.T", "nan"),
             ("phase.max", "-inf"),
             ("detector.nu", "inf"),
-            ("verify.tolerance_scale", "nan"),
         ],
     )
     def test_non_finite_numbers_rejected(self, tmp_path, key, value):
@@ -109,8 +109,32 @@ class TestConfigParsing:
             with pytest.raises(ConfigError, match="subnormal"):
                 run_config_from_mapping(mapping | {key: value})
         sweep = {"object.T.min": "0", "object.T.max": "4e-308", "object.T.count": "3"}
-        with pytest.raises(ConfigError, match="object.T must be 0 or a normal float"):
+        with pytest.raises(ConfigError, match="object.T: transmittance must be 0 or a normal float"):
             run_config_from_mapping({"gain.V_A": "1", "gain.V_B": "1"} | sweep)
+
+    @pytest.mark.parametrize(
+        "old, new, key",
+        [
+            ("gain.V_A = 0.1", "gain.V_A = -1", "gain.V_A"),
+            ("topology.kind = 2spdc", "topology.kind = 3spdc", "gain.V_C"),
+            ("topology.kind = 2spdc", "topology.kind = 2spdc-attenuated\nattenuation = 1.5", "attenuation"),
+            ("topology.kind = 2spdc", "topology.kind = 2spdc\nattenuation = 0.5", "attenuation"),
+            ("object.T = 0.5", "object.T = 1.5", "object.T"),
+            ("noise.N_B = 10", "noise.N_B = -1", "noise.N_B"),
+            ("phase.count = 16", "phase.count = 16\ndetector.eta = 0", "detector.eta"),
+            ("phase.count = 16", "phase.count = 16\ndetector.nu = -1", "detector.nu"),
+        ],
+        ids=["negative-gain", "3spdc-without-V_C", "attenuation-above-1", "attenuation-on-2spdc",
+             "T-above-1", "negative-N_B", "zero-eta", "negative-nu"],
+    )
+    def test_model_rule_errors_name_the_key(self, tmp_path, capsys, old, new, key):
+        # each range rule is the model type's; config only names the key
+        assert old in FRINGE_CFG
+        cfg = write_cfg(tmp_path, FRINGE_CFG.replace(old, new))
+        assert cli.main(["fringe", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {key}: ")
+        assert "Traceback" not in err
 
     def test_log_sweep_values(self):
         cfg = run_config_from_mapping(
@@ -338,8 +362,15 @@ oracle.seed = 3
         assert len(checks) >= 2 * 7
         assert all(line.startswith("PASS") for line in checks)
 
-    def test_corrupted_tolerance_fails(self, tmp_path):
-        cfg = write_cfg(tmp_path, self.VERIFY_CFG + "verify.tolerance_scale = 1e-12\n")
+    def test_corrupted_tolerance_fails(self, tmp_path, monkeypatch):
+        original = fock.oracle_moment
+
+        def corrupted(*args, **kwargs):
+            est = original(*args, **kwargs)
+            return replace(est, value=est.value + 1.0)
+
+        monkeypatch.setattr(fock, "oracle_moment", corrupted)
+        cfg = write_cfg(tmp_path, self.VERIFY_CFG)
         assert cli.main(["verify", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 3
 
     def test_resource_guard_exit_code(self, tmp_path):
@@ -428,6 +459,48 @@ oracle.seed = 3
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and bound in err
         assert "Traceback" not in err
+
+
+class TestInputBounds:
+    """Finite inputs that the model types admit but the commands cannot run."""
+
+    @pytest.mark.parametrize(
+        "command, text",
+        [
+            # the sampled engine check disagrees with the closed forms
+            ("scan-snr", SCAN_CFG.replace("V_A = 0.1", "V_A = 1000").replace("V_B = 0.1", "V_B = 1")),
+            # the engine's eigenvalue call does not converge
+            ("fringe", FRINGE_CFG.replace("0.1", "1e155")),
+            # the visibility reads nan
+            ("scan-visibility", SCAN_CFG.replace("0.1", "1e300").replace("T.min = 0.05", "T.min = 0")
+             .replace("T.count = 8", "T.count = 9").replace("noise.N_B = 0, 10", "noise.N_B = 0")),
+        ],
+        ids=["scan-snr-1000", "fringe-1e155", "scan-visibility-1e300"],
+    )
+    def test_gain_above_bound_is_config_error(self, tmp_path, capsys, command, text):
+        cfg = write_cfg(tmp_path, text)
+        assert cli.main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: gain.V_A: ")
+        assert "Traceback" not in err
+
+    def test_gain_bound_is_inclusive(self, tmp_path):
+        cfg = write_cfg(tmp_path, SCAN_CFG.replace("0.1", "100"))
+        for command in ("scan-visibility", "scan-snr"):
+            assert cli.main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+
+    @pytest.mark.parametrize("key, value", [("phase.max", "1e308"), ("phase.min", "-1e308")])
+    def test_overflowing_phase_is_config_error(self, tmp_path, capsys, key, value):
+        # the engine's phase element is exp(i 2 phi), and 2 phi overflows
+        cfg = write_cfg(tmp_path, FRINGE_CFG + f"{key} = {value}\n")
+        assert cli.main(["fringe", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {key}: phase must be finite")
+        assert "Traceback" not in err
+
+    def test_largest_phases_run(self, tmp_path):
+        cfg = write_cfg(tmp_path, FRINGE_CFG + "phase.min = -8e307\nphase.max = 8e307\n")
+        assert cli.main(["fringe", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
 
 
 class TestCliPlumbing:

@@ -280,11 +280,24 @@ def test_batch_rejects_mixed_layouts():
         g.run_elements_batch(3, networks)
 
 
-def test_batch_checks_every_element():
-    networks = _layout_networks()
-    networks[2][-3] = g.BeamSplitter(1, 2, 0.9, 0.5)
-    with pytest.raises(ValueError, match="non-unitary"):
-        g.run_elements_batch(3, networks)
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: g.BeamSplitter(1, 2, 0.9, 0.5), "non-unitary beam splitter"),
+        (lambda: g.BeamSplitter(1, 2, math.nan, 0.0), "non-unitary beam splitter"),
+        (lambda: g.BeamSplitter(1, 1, 1.0, 0.0), "beam splitter needs two distinct modes"),
+        (lambda: g.TwoModeSqueezer(0, 0, g.SqueezerParams(0.1)), "squeezer needs two distinct modes"),
+        (lambda: g.ThermalInput(0, -1.0), "thermal occupation must be >= 0"),
+        (lambda: g.ThermalInput(0, math.nan), "thermal occupation must be >= 0"),
+        (lambda: g.PhaseShift(0, math.inf), "phase must be finite"),
+    ],
+    ids=["non-unitary-splitter", "nan-splitter", "splitter-one-mode", "squeezer-one-mode",
+         "negative-occupation", "nan-occupation", "infinite-phase"],
+)
+def test_elements_check_themselves_where_built(build, message):
+    # both backends take an element as valid; the element decides at construction
+    with pytest.raises(ValueError, match=message):
+        build()
 
 
 def test_stack_validation_rejects_one_bad_item():
