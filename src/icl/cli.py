@@ -53,10 +53,13 @@ def _fmt(value: float) -> str:
     return f"{value:.12g}"
 
 
-def write_csv(path: Path, header: list[str], rows: list[list[float]]) -> None:
-    lines = [",".join(header)]
-    lines.extend(",".join(_fmt(v) for v in row) for row in rows)
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+def write_csv(path: Path, header: list[str], rows: np.ndarray) -> None:
+    """Write a header and a 2-D array of rows; the body is formatted in one
+    ``%.12g`` pass, the format of ``_fmt``."""
+    rows = np.asarray(rows, dtype=float)
+    line = ",".join(["%.12g"] * rows.shape[1]) + "\n"
+    body = (line * rows.shape[0]) % tuple(rows.ravel().tolist())
+    path.write_text(",".join(header) + "\n" + body, encoding="utf-8", newline="\n")
 
 
 def cmd_fringe(cfg: RunConfig, out_dir: Path) -> int:
@@ -94,11 +97,11 @@ def engine_sample(count: int) -> np.ndarray:
     return np.arange(k) * (count - 1) // max(k - 1, 1)
 
 
-def _write_table(path: Path, table: dict) -> dict[str, list[float]]:
-    """Write named columns as CSV rows; return them as lists of floats."""
-    table = {name: np.asarray(column, dtype=float).tolist() for name, column in table.items()}
-    write_csv(path, list(table), list(zip(*table.values())))
-    return table
+def _write_table(path: Path, table: dict) -> dict[str, np.ndarray]:
+    """Write named columns as CSV rows; return them as float arrays."""
+    rows = np.column_stack([np.asarray(column, dtype=float) for column in table.values()])
+    write_csv(path, list(table), rows)
+    return dict(zip(table, rows.T))
 
 
 def _scan_grid(cfg: RunConfig) -> tuple[np.ndarray, np.ndarray, dict[float, slice]]:
@@ -117,8 +120,8 @@ def cmd_scan_visibility(cfg: RunConfig, out_dir: Path) -> int:
     table = {
         "T": T,
         "N_B": n_b,
-        "vis_2spdc": [f.visibility for f in interferometer.fringes(v_a, v_b, T, n_b)],
-        "vis_3spdc": [f.visibility for f in interferometer.fringes(v_a, v_b, T, n_b, v_c=cfg.v_c)],
+        "vis_2spdc": interferometer.fringes(v_a, v_b, T, n_b).visibility,
+        "vis_3spdc": interferometer.fringes(v_a, v_b, T, n_b, v_c=cfg.v_c).visibility,
         "vis_atten_opt": closed_forms.optimal_attenuated_visibility(v_a, T, n_b),
         "vis_heralded": closed_forms.heralded_visibility_pair_limit(v_a, v_b, T),
         "g1_bound": closed_forms.coherence_bound(v_a, T, n_b),
@@ -155,13 +158,11 @@ def cmd_scan_snr(cfg: RunConfig, out_dir: Path) -> int:
     general = closed_forms.snr_heralded_general(v_a, v_b, T, 0.0)
     sample = engine_sample(T.size)
     points = zip(T[sample].tolist(), n_b[sample].tolist())
-    fitted = heralding.heralded_fringes_mode_matched(
+    dark, lit = heralding.heralded_fringe_grid(
         [interferometer.two_spdc(v_a, v_b, t, nb) for t, nb in points]
     )
-    engine = [
-        np.nan if fr is None else closed_forms.fringe_snr(fr.dc, fr.amplitude, 0.0)
-        for fr in fitted
-    ]
+    engine = np.full(len(sample), np.nan)
+    engine[~dark] = closed_forms.fringe_snr(lit.dc, lit.amplitude, 0.0)
     interferometer.check_closed_forms("sampled heralded SNRs", (general[sample],), (engine,))
     table = {
         "T": T,
@@ -219,8 +220,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Built once per process: ``main`` may run many commands in one process
+# (``scripts/run_figures.py`` runs five).
+_PARSER = build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         cfg = load_run_config(resolve_config_path(args.config))
         if args.seed is not None:

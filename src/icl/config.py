@@ -34,6 +34,11 @@ from .interferometer import MODE_BACKGROUND, MODE_SIGNAL_B, Topology, TopologyKi
 # fail from V = 1000 on, and far above it so do the engine's eigenvalue calls.
 MAX_GAIN = 100.0
 
+# Another sanity bound of the command line: the most points an object.T
+# sweep or a phase grid may ask for, checked before any grid is allocated.
+# The presets ask for at most 100 points per grid, the benchmark for 256.
+MAX_GRID_COUNT = 100_000
+
 
 class ConfigError(ValueError):
     """Malformed or inconsistent run configuration."""
@@ -110,7 +115,11 @@ class RunConfig:
         return np.array([self.transmittance])
 
     def phase_values(self) -> np.ndarray:
-        return np.linspace(self.phase_min, self.phase_max, self.phase_count)
+        # A span within rounding of the largest double can overflow only in
+        # linspace's last point, which linspace then overwrites with
+        # phase_max; every other point is bit for bit the unguarded one.
+        with np.errstate(over="ignore"):
+            return np.linspace(self.phase_min, self.phase_max, self.phase_count)
 
 
 _KNOWN_KEYS = {
@@ -176,6 +185,13 @@ def _as_int(mapping: dict[str, str], key: str, default: int | None = None) -> in
         raise ConfigError(f"{key}: not an integer: {mapping[key]!r}") from err
 
 
+def _grid_count(mapping: dict[str, str], key: str, default: int | None = None) -> int | None:
+    count = _as_int(mapping, key, default)
+    if count is not None and count > MAX_GRID_COUNT:
+        raise ConfigError(f"{key}: {count} points is above {MAX_GRID_COUNT}, the largest grid")
+    return count
+
+
 def _as_float_list(mapping: dict[str, str], key: str, default: tuple[float, ...]) -> tuple[float, ...]:
     if key not in mapping:
         return default
@@ -232,7 +248,7 @@ def run_config_from_mapping(mapping: dict[str, str]) -> RunConfig:
     elif sweep_keys:
         lo = _as_float(mapping, "object.T.min")
         hi = _as_float(mapping, "object.T.max")
-        count = _as_int(mapping, "object.T.count")
+        count = _grid_count(mapping, "object.T.count")
         if lo is None or hi is None or count is None:
             raise ConfigError("object.T sweeps need min, max, and count")
         spacing = mapping.get("object.T.spacing", "linear")
@@ -252,7 +268,7 @@ def run_config_from_mapping(mapping: dict[str, str]) -> RunConfig:
     # the network's phase element turns the fringe phase phi into 2 phi
     _admit("phase.min", PhaseShift, MODE_SIGNAL_B, 2.0 * phase_min)
     _admit("phase.max", PhaseShift, MODE_SIGNAL_B, 2.0 * phase_max)
-    phase_count = _as_int(mapping, "phase.count", 64)
+    phase_count = _grid_count(mapping, "phase.count", 64)
     if phase_count < 1:
         raise ConfigError("phase.count must be >= 1")
 

@@ -190,9 +190,10 @@ def mode_matched_conditional_means(
     return np.where(dark, np.nan, values)
 
 
-def heralded_fringes_mode_matched(topos: Sequence[Topology]) -> list[HeraldedFringe | None]:
-    """Heralded fringe of every topology from one batched engine pass, None
-    where the herald mode is empty.
+def heralded_fringe_grid(topos: Sequence[Topology]) -> tuple[np.ndarray, HeraldedFringe]:
+    """Heralded fringes of many topologies from one batched engine pass:
+    the mask of topologies whose herald mode is empty, and the fringes of
+    the others as one HeraldedFringe of arrays.
 
     Every topology is evaluated at the two fringe phases of
     ``interferometer.FRINGE_PHASES`` through ``mode_matched_conditional_means``;
@@ -203,25 +204,25 @@ def heralded_fringes_mode_matched(topos: Sequence[Topology]) -> list[HeraldedFri
     values = mode_matched_conditional_means(grid, np.tile(phases, len(topos)))
     values = values.reshape(len(topos), len(phases))
     dark = np.isnan(values).any(axis=1)
-    lit = interferometer._fringe_results(*values[~dark].T)
+    lit = HeraldedFringe(*interferometer._fringe_values(*values[~dark].T))
 
     n_i, exp_dc, exp_amp = (a[~dark] for a in closed_forms.heralded_fringe(*_gains(topos)))
     checked = n_i > 0.0
-    got = np.array([(fr.dc, fr.amplitude) for fr in lit]).reshape(-1, 2)[checked]
     interferometer.check_closed_forms(
-        "engine heralded fringes", (exp_dc[checked], exp_amp[checked]), tuple(got.T)
+        "engine heralded fringes",
+        (exp_dc[checked], exp_amp[checked]),
+        (lit.dc[checked], lit.amplitude[checked]),
     )
-    fringes = iter(lit)
-    return [None if is_dark else next(fringes) for is_dark in dark]
+    return dark, lit
 
 
 def heralded_fringe_mode_matched(topo: Topology) -> HeraldedFringe:
     """Conditional fringe of the "+" output heralded on the idler output,
     verified against its closed forms."""
-    (fringe,) = heralded_fringes_mode_matched([topo])
-    if fringe is None:
+    (dark,), lit = heralded_fringe_grid([topo])
+    if dark:
         raise ValueError(_NO_HERALD)
-    return fringe
+    return HeraldedFringe(float(lit.dc[0]), float(lit.amplitude[0]), float(lit.visibility[0]))
 
 
 def heralded_visibility_pair_limit(topo: Topology) -> float:

@@ -252,43 +252,74 @@ def g1_coherence(topo: Topology) -> float:
 FRINGE_PHASES = (0.0, 0.5 * math.pi)
 
 
+_FRINGE_RULES = (
+    "fringe dc and amplitude must be non-negative",
+    "fringe amplitude exceeds its dc offset",
+    "visibility inconsistent with amplitude / dc",
+    "fringe visibility {!r} outside [0, 1]",
+)
+
+
 @dataclass(frozen=True)
 class FringeResult:
-    """dc, amplitude, and contrast of a cos(2 phi) singles or heralded fringe."""
+    """dc, amplitude, and contrast of a cos(2 phi) singles or heralded fringe.
 
-    dc: float
-    amplitude: float
-    visibility: float
+    The fields are floats for one fringe, or equal-length arrays for a grid
+    of fringes (``fringes``).  Either way the invariants are checked in one
+    pass over every point, to 1e-12; the error names the first rule that
+    the first bad point breaks.
+    """
+
+    dc: float | np.ndarray
+    amplitude: float | np.ndarray
+    visibility: float | np.ndarray
 
     def __post_init__(self) -> None:
-        if self.dc < 0.0 or self.amplitude < -1e-12:
-            raise ValueError("fringe dc and amplitude must be non-negative")
-        if self.amplitude > self.dc + 1e-12:
-            raise ValueError("fringe amplitude exceeds its dc offset")
-        expected = self.amplitude / self.dc if self.dc > 0.0 else 0.0
-        if abs(self.visibility - expected) > 1e-12:
-            raise ValueError("visibility inconsistent with amplitude / dc")
-        if not (-1e-12 <= self.visibility <= 1.0 + 1e-12):
-            raise ValueError(f"fringe visibility {self.visibility!r} outside [0, 1]")
+        dc, amplitude, visibility = (
+            np.atleast_1d(np.asarray(v, dtype=float))
+            for v in (self.dc, self.amplitude, self.visibility)
+        )
+        # as quiet as Python float arithmetic: inf / inf is a silent nan
+        with np.errstate(all="ignore"):
+            expected = np.divide(amplitude, dc, out=np.zeros_like(dc), where=dc > 0.0)
+            broken = (
+                (dc < 0.0) | (amplitude < -1e-12),
+                amplitude > dc + 1e-12,
+                np.abs(visibility - expected) > 1e-12,
+                ~((-1e-12 <= visibility) & (visibility <= 1.0 + 1e-12)),
+            )
+        bad = broken[0] | broken[1] | broken[2] | broken[3]
+        if bad.any():
+            k = int(np.argmax(bad))
+            message = next(m for m, b in zip(_FRINGE_RULES, broken) if b[k])
+            raise ValueError(message.format(float(visibility[k])))
 
 
-def _fringe_results(n_0, n_half) -> list[FringeResult]:
-    """Checked fringes from their values at FRINGE_PHASES, elementwise."""
+def _fringe_values(n_0, n_half) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Flat dc, amplitude and visibility arrays of fringes from their values
+    at FRINGE_PHASES, elementwise; FringeResult checks them."""
     dc = np.atleast_1d(0.5 * (n_0 + n_half))
     amplitude = np.atleast_1d(0.5 * (n_0 - n_half))
     visibility = np.divide(amplitude, dc, out=np.zeros_like(dc), where=dc > 0.0)
-    return list(map(FringeResult, dc.tolist(), amplitude.tolist(), visibility.tolist()))
+    return dc, amplitude, visibility
 
 
-def fringes(v_a, v_b, T, n_b, *, v_c=None, kappa=None) -> list[FringeResult]:
-    """Closed-form n_plus fringes over broadcast parameters, flattened."""
+def _singles_fringe_values(v_a, v_b, T, n_b, *, v_c=None, kappa=None):
+    """``_fringe_values`` of the closed-form n_plus singles."""
     n_0, n_half = (
         closed_forms.singles(v_a, v_b, T, n_b, phi, v_c=v_c, kappa=kappa)[0]
         for phi in FRINGE_PHASES
     )
-    return _fringe_results(n_0, n_half)
+    return _fringe_values(n_0, n_half)
+
+
+def fringes(v_a, v_b, T, n_b, *, v_c=None, kappa=None) -> FringeResult:
+    """Closed-form n_plus fringes over broadcast parameters, as one
+    FringeResult of flat arrays."""
+    return FringeResult(*_singles_fringe_values(v_a, v_b, T, n_b, v_c=v_c, kappa=kappa))
 
 
 def fringe(topo: Topology) -> FringeResult:
     """Closed-form n_plus fringe of one topology."""
-    return fringes(**_closed_form_params(topo))[0]
+    values = _singles_fringe_values(**_closed_form_params(topo))
+    return FringeResult(*(float(v[0]) for v in values))

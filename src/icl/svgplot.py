@@ -1,8 +1,12 @@
 """Dependency-free static SVG line plots.
 
 Polyline-based rendering into a fixed 800x600 view box; linear or log axes
-with the scaling done in code.  Output is deterministic: coordinates are
-formatted with fixed precision and series are drawn in the given order.
+with the scaling done in code.  Each series is filtered and mapped to
+pixels as whole numpy arrays, and its polyline is formatted in one
+``%``-formatting pass.  Log axes take ``math.log10`` value by value, since
+``np.log10`` may differ from it in the last bit.  Output is deterministic:
+coordinates are formatted with fixed precision (``%.2f``) and series are
+drawn in the given order.
 """
 
 from __future__ import annotations
@@ -11,6 +15,8 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
+
+import numpy as np
 
 WIDTH = 800
 HEIGHT = 600
@@ -34,11 +40,10 @@ def _fmt(value: float) -> str:
 
 
 class _Axis:
-    def __init__(self, values: Sequence[float], scale: str, lo_px: float, hi_px: float):
-        finite = [v for v in values if math.isfinite(v) and (scale != "log" or v > 0.0)]
-        if not finite:
-            finite = [0.1, 1.0]
-        lo, hi = min(finite), max(finite)
+    def __init__(self, values: np.ndarray, scale: str, lo_px: float, hi_px: float):
+        self.scale = scale
+        finite = values[self.usable(values)]
+        lo, hi = (float(finite.min()), float(finite.max())) if finite.size else (0.1, 1.0)
         if scale == "log":
             lo, hi = math.log10(lo), math.log10(hi)
         if hi - lo < 1e-12:
@@ -46,27 +51,23 @@ class _Axis:
         pad = 0.05 * (hi - lo)
         self.lo = lo - pad
         self.hi = hi + pad
-        self.scale = scale
         self.lo_px = lo_px
         self.hi_px = hi_px
 
-    def usable(self, value: float) -> bool:
-        return math.isfinite(value) and (self.scale != "log" or value > 0.0)
+    def usable(self, values: np.ndarray) -> np.ndarray:
+        ok = np.isfinite(values)
+        return ok & (values > 0.0) if self.scale == "log" else ok
 
-    def to_px(self, value: float) -> float:
-        v = math.log10(value) if self.scale == "log" else value
-        frac = (v - self.lo) / (self.hi - self.lo)
-        return self.lo_px + frac * (self.hi_px - self.lo_px)
+    def to_px(self, values: np.ndarray) -> np.ndarray:
+        if self.scale == "log":
+            values = np.array([math.log10(v) for v in values.tolist()])
+        return self.lo_px + (values - self.lo) / (self.hi - self.lo) * (self.hi_px - self.lo_px)
 
     def ticks(self, count: int = 5) -> list[tuple[float, str]]:
-        out = []
-        for k in range(count):
-            v = self.lo + (self.hi - self.lo) * k / (count - 1)
-            if self.scale == "log":
-                out.append((10.0**v, f"{10.0 ** v:.3g}"))
-            else:
-                out.append((v, f"{v:.3g}"))
-        return out
+        """(pixel, label) of ``count`` evenly spaced ticks."""
+        steps = [self.lo + (self.hi - self.lo) * k / (count - 1) for k in range(count)]
+        values = [10.0**v for v in steps] if self.scale == "log" else steps
+        return list(zip(self.to_px(np.array(values)).tolist(), (f"{v:.3g}" for v in values)))
 
 
 def line_plot(
@@ -80,10 +81,10 @@ def line_plot(
     y_scale: str = "linear",
 ) -> None:
     """Write an SVG line plot; points unusable on a log axis are skipped."""
-    xs = [v for s in series for v in s.x]
-    ys = [v for s in series for v in s.y]
-    x_axis = _Axis(xs, x_scale, MARGIN_LEFT, WIDTH - MARGIN_RIGHT)
-    y_axis = _Axis(ys, y_scale, HEIGHT - MARGIN_BOTTOM, MARGIN_TOP)
+    xs = [np.asarray(s.x, dtype=float) for s in series]
+    ys = [np.asarray(s.y, dtype=float) for s in series]
+    x_axis = _Axis(np.concatenate([np.empty(0), *xs]), x_scale, MARGIN_LEFT, WIDTH - MARGIN_RIGHT)
+    y_axis = _Axis(np.concatenate([np.empty(0), *ys]), y_scale, HEIGHT - MARGIN_BOTTOM, MARGIN_TOP)
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 {WIDTH} {HEIGHT}">',
@@ -104,8 +105,7 @@ def line_plot(
     parts.append(
         f'<line x1="{x0}" y1="{y0}" x2="{x0}" y2="{y1}" stroke="black" stroke-width="1"/>'
     )
-    for value, label in x_axis.ticks():
-        px = x_axis.to_px(value)
+    for px, label in x_axis.ticks():
         parts.append(
             f'<line x1="{_fmt(px)}" y1="{y0}" x2="{_fmt(px)}" y2="{y0 + 5}" stroke="black"/>'
         )
@@ -113,8 +113,7 @@ def line_plot(
             f'<text x="{_fmt(px)}" y="{y0 + 20}" text-anchor="middle" '
             f'font-family="sans-serif" font-size="12">{label}</text>'
         )
-    for value, label in y_axis.ticks():
-        py = y_axis.to_px(value)
+    for py, label in y_axis.ticks():
         parts.append(
             f'<line x1="{x0 - 5}" y1="{_fmt(py)}" x2="{x0}" y2="{_fmt(py)}" stroke="black"/>'
         )
@@ -132,16 +131,14 @@ def line_plot(
         f'transform="rotate(-90 20 {(y0 + y1) // 2})">{y_label}</text>'
     )
 
-    for idx, s in enumerate(series):
+    for idx, (s, x, y) in enumerate(zip(series, xs, ys)):
         color = PALETTE[idx % len(PALETTE)]
-        points = [
-            f"{_fmt(x_axis.to_px(px))},{_fmt(y_axis.to_px(py))}"
-            for px, py in zip(s.x, s.y)
-            if x_axis.usable(px) and y_axis.usable(py)
-        ]
-        if points:
+        keep = x_axis.usable(x) & y_axis.usable(y)
+        if keep.any():
+            xy = np.column_stack((x_axis.to_px(x[keep]), y_axis.to_px(y[keep])))
+            points = " ".join(["%.2f,%.2f"] * len(xy)) % tuple(xy.ravel().tolist())
             parts.append(
-                f'<polyline points="{" ".join(points)}" fill="none" '
+                f'<polyline points="{points}" fill="none" '
                 f'stroke="{color}" stroke-width="1.5"/>'
             )
         ly = MARGIN_TOP + 16 * idx + 12

@@ -2,14 +2,23 @@
 exit-code contract."""
 
 import math
+import sys
+import tracemalloc
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from icl import cli, closed_forms, fock
-from icl.config import ConfigError, load_run_config, parse_config_text, run_config_from_mapping
-from icl.interferometer import TopologyKind
+from icl.config import (
+    MAX_GRID_COUNT,
+    ConfigError,
+    load_run_config,
+    parse_config_text,
+    run_config_from_mapping,
+)
+from icl.interferometer import FRINGE_PHASES, TopologyKind
 
 N_PLUS_REF = 0.42666198487095663
 
@@ -215,6 +224,21 @@ class TestScanVisibilityCommand:
         assert 'viewBox="0 0 800 600"' in body
         assert body.count("<polyline") == 5
 
+
+    def test_fringe_check_covers_every_grid_point(self, tmp_path, monkeypatch):
+        # n_plus < 0 at phase pi/2 and the last of 200 points: amplitude > dc
+        singles = closed_forms.singles
+
+        def skewed(*args, **kwargs):
+            n_plus, n_minus = (np.array(v, dtype=float) for v in singles(*args, **kwargs))
+            if n_plus.size == 200 and args[4] == FRINGE_PHASES[1]:
+                n_plus[-1] = -1e-6
+            return n_plus, n_minus
+
+        monkeypatch.setattr(closed_forms, "singles", skewed)
+        cfg = write_cfg(tmp_path, SCAN_CFG.replace("T.count = 8", "T.count = 100"))
+        with pytest.raises(ValueError, match="^fringe amplitude exceeds its dc offset$"):
+            cli.main(["scan-visibility", "--config", str(cfg), "--out", str(tmp_path / "out")])
 
     def test_dark_arm_a_exits_0(self, tmp_path):
         cfg = write_cfg(tmp_path, SCAN_CFG.replace("gain.V_A = 0.1", "gain.V_A = 0"))
@@ -501,6 +525,71 @@ class TestInputBounds:
     def test_largest_phases_run(self, tmp_path):
         cfg = write_cfg(tmp_path, FRINGE_CFG + "phase.min = -8e307\nphase.max = 8e307\n")
         assert cli.main(["fringe", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+
+    def test_phase_span_of_the_largest_double_runs_quietly(self, tmp_path):
+        # 2 phi is exactly the largest double; linspace's last step overflows
+        half = sys.float_info.max / 2
+        cfg = write_cfg(tmp_path, FRINGE_CFG + f"phase.min = {-half!r}\nphase.max = {half!r}\n")
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(["fringe", "--config", str(cfg), "--out", str(out)]) == 0
+        rows = np.loadtxt(out / "fringe.csv", delimiter=",", skiprows=1)
+        assert rows.shape == (16, 4) and np.isfinite(rows).all()
+        assert rows[0, 0] == float(f"{-half:.12g}") and rows[-1, 0] == float(f"{half:.12g}")
+
+    @pytest.mark.parametrize(
+        "lo, hi, count",
+        [
+            (0.0, math.pi, 64),
+            (-1.0, 2.5, 7),
+            (0.3, 0.3, 1),
+            (-8e307, 8e307, 16),
+            (-sys.float_info.max / 2, sys.float_info.max / 2, 2),
+            (-sys.float_info.max / 2, sys.float_info.max / 2, 64),
+        ],
+    )
+    def test_phase_grid_is_linspace_bit_for_bit(self, lo, hi, count):
+        keys = {"gain.V_A": "0.1", "gain.V_B": "0.1", "object.T": "0.5"}
+        cfg = run_config_from_mapping(
+            dict(keys, **{"phase.min": repr(lo), "phase.max": repr(hi), "phase.count": str(count)})
+        )
+        with np.errstate(over="ignore"):
+            expected = np.linspace(lo, hi, count)
+        assert cfg.phase_values().tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize(
+        "command, text, key",
+        [
+            ("scan-visibility", SCAN_CFG.replace("count = 8", f"count = {MAX_GRID_COUNT + 1}"),
+             "object.T.count"),
+            ("fringe", FRINGE_CFG.replace("count = 16", f"count = {MAX_GRID_COUNT + 1}"),
+             "phase.count"),
+            ("fringe", FRINGE_CFG.replace("count = 16", "count = 1000000000000000"),
+             "phase.count"),
+        ],
+        ids=["object.T.count", "phase.count", "phase.count-1e15"],
+    )
+    def test_grid_count_above_bound_is_config_error(self, tmp_path, capsys, command, text, key):
+        cfg = write_cfg(tmp_path, text)
+        tracemalloc.start()
+        try:
+            code = cli.main([command, "--config", str(cfg), "--out", str(tmp_path / "out")])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert peak < 1 << 20
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {key}: ")
+        assert "Traceback" not in err
+
+    def test_grid_count_bound_is_inclusive(self, tmp_path):
+        text = FRINGE_CFG.replace("phase.count = 16", f"phase.count = {MAX_GRID_COUNT}")
+        cfg = write_cfg(tmp_path, text)
+        out = tmp_path / "out"
+        assert cli.main(["fringe", "--config", str(cfg), "--out", str(out)]) == 0
+        assert len((out / "fringe.csv").read_text().splitlines()) == MAX_GRID_COUNT + 1
 
 
 class TestCliPlumbing:

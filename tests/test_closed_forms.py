@@ -20,6 +20,13 @@ T_GRID = np.linspace(0.0, 1.0, 7)
 N_B_GRID = np.array([0.0, 0.5, 10.0, 100.0])
 
 
+def point(grid, k):
+    """Point k of a FringeResult of arrays, as a FringeResult of floats."""
+    return icl.FringeResult(
+        float(grid.dc[k]), float(grid.amplitude[k]), float(grid.visibility[k])
+    )
+
+
 def mesh():
     n_b, T = np.meshgrid(N_B_GRID, T_GRID, indexing="ij")
     return T.ravel(), n_b.ravel()
@@ -32,8 +39,8 @@ class TestGridEqualsScalarApi:
         two = itf.fringes(v_a, v_b, T, n_b)
         three = itf.fringes(v_a, v_b, T, n_b, v_c=0.7)
         for k, (t, nb) in enumerate(zip(T.tolist(), n_b.tolist())):
-            assert two[k] == itf.fringe(itf.two_spdc(v_a, v_b, t, nb))
-            assert three[k] == itf.fringe(itf.three_spdc(v_a, v_b, 0.7, t, nb))
+            assert point(two, k) == itf.fringe(itf.two_spdc(v_a, v_b, t, nb))
+            assert point(three, k) == itf.fringe(itf.three_spdc(v_a, v_b, 0.7, t, nb))
 
     @pytest.mark.parametrize("v_a, v_b", GAINS)
     def test_bound_contrasts_and_snr(self, v_a, v_b):
@@ -200,3 +207,19 @@ class TestMergedFringeResult:
     def test_every_invariant_is_checked(self, dc, amplitude, visibility, message):
         with pytest.raises(ValueError, match=message):
             icl.HeraldedFringe(dc, amplitude, visibility)
+        # the same point after 99 good ones of a grid
+        good = np.array([0.5, 0.25, 0.5])
+        grid = np.tile(good[:, None], 100)
+        grid[:, -1] = dc, amplitude, visibility
+        with pytest.raises(ValueError, match=message):
+            icl.FringeResult(*grid)
+        icl.FringeResult(*grid[:, :-1])
+
+    def test_grid_error_names_the_first_bad_point(self):
+        # point 1 breaks only the visibility range, point 2 the amplitude
+        # rule first; the error is point 1's
+        dc = np.array([0.5, 1e-13, 0.5])
+        amplitude = np.array([0.25, 1e-12, 0.6])
+        visibility = np.array([0.5, 1e-12 / 1e-13, 0.0])
+        with pytest.raises(ValueError, match=r"^fringe visibility 10\.0 outside \[0, 1\]$"):
+            icl.FringeResult(dc, amplitude, visibility)

@@ -1,10 +1,11 @@
-"""The bundled scan presets reproduce the committed golden CSVs.
+"""The bundled scan presets reproduce the committed golden CSVs and SVGs.
 
 ``tests/golden`` holds the output of ``scripts/run_figures.py --seed 7``
-for ``fig2``-``fig5`` and ``fringe.cfg``.  Each preset is rerun through the
-CLI and must give the same header, the same rows in the same order, and
-every cell within 1e-12 relative of the golden cell, so the README's CSV
-contract holds across versions.
+for ``fig2``-``fig5`` and ``fringe.cfg``, each file named
+``<preset>_<output>``.  Each preset is rerun through the CLI and must give
+the same header, the same rows in the same order, and every cell within
+1e-12 relative of the golden cell, so the README's CSV contract holds
+across versions.  The SVG plots must come out byte for byte the same.
 """
 
 import math
@@ -47,3 +48,32 @@ def test_preset_matches_golden_csv(tmp_path, command, preset, output, golden):
             assert same_cell(got_cell, golden_cell), (
                 f"line {line}, column {column}: {got_cell} != {golden_cell}"
             )
+
+
+SVG_RUNS = tuple(
+    (command, preset, svg.name)
+    for command, preset, _, golden in RUNS
+    for svg in sorted(GOLDEN.glob(golden.split("_")[0] + "_*.svg"))
+)
+
+
+def test_every_preset_plot_has_a_golden_svg():
+    names = {name for _, _, name in SVG_RUNS}
+    assert names == {
+        "fig2_scan_visibility_nb0.svg",
+        "fig2_scan_visibility_nb10.svg",
+        "fig2_scan_visibility_nb100.svg",
+        "fig3_scan_visibility_nb0.svg",
+        "fig3_scan_visibility_nb10.svg",
+        "fig3_scan_visibility_nb100.svg",
+        "fig4_scan_visibility_nb10.svg",
+        "fig5_scan_snr.svg",
+    }
+
+
+@pytest.mark.parametrize("command, preset, golden", SVG_RUNS, ids=[r[2] for r in SVG_RUNS])
+def test_preset_matches_golden_svg(tmp_path, command, preset, golden):
+    argv = [command, "--config", preset, "--out", str(tmp_path), "--seed", "7"]
+    assert cli.main(argv) == 0
+    output = golden.split("_", 1)[1]
+    assert (tmp_path / output).read_bytes() == (GOLDEN / golden).read_bytes()

@@ -215,15 +215,19 @@ def _assert_grid_matches_points(topos, phis):
         assert _close(mm.signal_mean[k], one.signal_mean[0])
         assert _close(mm.pair_corr[k], one.pair_corr[0])
         assert _close(mm.exchange_corr[k], one.exchange_corr[0])
-    for topo, fr in zip(topos, her.heralded_fringes_mode_matched(topos)):
+    dark, lit = her.heralded_fringe_grid(topos)
+    assert lit.dc.size == np.count_nonzero(~dark)
+    # k: the index of each lit topology among the lit ones
+    for topo, is_dark, k in zip(topos, dark, np.cumsum(~dark) - 1):
         try:
             one = her.heralded_fringe_mode_matched(topo)
         except ValueError:
-            assert fr is None
+            assert is_dark
             continue
-        assert _close(fr.dc, one.dc)
-        assert _close(fr.amplitude, one.amplitude)
-        assert _close(fr.visibility, one.visibility)
+        assert not is_dark
+        assert _close(lit.dc[k], one.dc)
+        assert _close(lit.amplitude[k], one.amplitude)
+        assert _close(lit.visibility[k], one.visibility)
 
 
 # Gains, transmittances and occupations are 0 or normal floats: the
@@ -262,7 +266,7 @@ def test_dark_grid_points_are_nan_and_single_points_raise():
     assert math.isnan(values[0]) and math.isfinite(values[1])
     (one,) = her.mode_matched_conditional_means(topos[:1], [0.3])
     assert math.isnan(one)
-    dark, lit = her.heralded_fringes_mode_matched(topos)
-    assert dark is None and lit is not None
+    dark, lit = her.heralded_fringe_grid(topos)
+    assert dark.tolist() == [True, False] and lit.dc.size == 1
     with pytest.raises(ValueError, match="no herald"):
         her.heralded_fringe_mode_matched(topos[0])
