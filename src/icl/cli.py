@@ -69,7 +69,6 @@ def cmd_fringe(cfg: RunConfig, out_dir: Path) -> int:
         raise ConfigError("noise.N_B: fringe needs a single value")
     T, n_b = cfg.transmittance, cfg.n_b_values[0]
     v_c = cfg.v_c if cfg.kind is TopologyKind.THREE_SPDC else None
-    detector = heralding.DetectorModel(cfg.eta, cfg.nu)
 
     phis = cfg.phase_values()
     n_plus, n_minus = closed_forms.singles(
@@ -78,9 +77,9 @@ def cmd_fringe(cfg: RunConfig, out_dir: Path) -> int:
     if cfg.kind is TopologyKind.TWO_SPDC:
         heralded = closed_forms.heralded_signal_mean(cfg.v_a, cfg.v_b, T, phis, cfg.eta, cfg.nu)
         sample = engine_sample(len(phis))
-        topo = interferometer.two_spdc(cfg.v_a, cfg.v_b, T, n_b)
+        detector = heralding.DetectorModel(cfg.eta, cfg.nu)
         engine = heralding.mode_matched_conditional_means(
-            [topo] * len(sample), phis[sample], detector
+            cfg.v_a, cfg.v_b, T, phis[sample], detector
         )
         interferometer.check_closed_forms("sampled heralded means", (heralded[sample],), (engine,))
     else:
@@ -157,10 +156,7 @@ def cmd_scan_snr(cfg: RunConfig, out_dir: Path) -> int:
     v_a, v_b = cfg.v_a, cfg.v_b
     general = closed_forms.snr_heralded_general(v_a, v_b, T, 0.0)
     sample = engine_sample(T.size)
-    points = zip(T[sample].tolist(), n_b[sample].tolist())
-    dark, lit = heralding.heralded_fringe_grid(
-        [interferometer.two_spdc(v_a, v_b, t, nb) for t, nb in points]
-    )
+    dark, lit = heralding.heralded_fringe_grid(v_a, v_b, T[sample])
     engine = np.full(len(sample), np.nan)
     engine[~dark] = closed_forms.fringe_snr(lit.dc, lit.amplitude, 0.0)
     interferometer.check_closed_forms("sampled heralded SNRs", (general[sample],), (engine,))

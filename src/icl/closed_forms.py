@@ -77,11 +77,12 @@ def herald_moments(v_a, v_b, T, phi) -> tuple:
 
 @np.errstate(all="ignore")
 def heralded_signal_mean(v_a, v_b, T, phi, eta=1.0, nu=0.0):
-    """Click-conditioned <n_S> + eta |<b_I b_S>|^2 / (eta <n_I> + nu) at
-    phase phi, for an on/off herald of efficiency eta and dark-count mean
-    nu; nan where the herald mode is empty (n_I = 0)."""
+    """Click-conditioned <n_S> + |<b_I b_S>|^2 / (<n_I> + nu / eta) at phase
+    phi, for an on/off herald of efficiency eta and dark-count mean nu; nan
+    where the herald mode is empty (n_I = 0).  Dividing nu by eta, not
+    multiplying <n_I> by eta, leaves no product to underflow."""
     n_i, n_s, corr_sq = herald_moments(v_a, v_b, T, phi)
-    return np.where(n_i > 0.0, n_s + eta * corr_sq / (eta * n_i + nu), np.nan)
+    return np.where(n_i > 0.0, n_s + corr_sq / (n_i + nu / eta), np.nan)
 
 
 @np.errstate(all="ignore")

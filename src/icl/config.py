@@ -35,8 +35,10 @@ from .interferometer import MODE_BACKGROUND, MODE_SIGNAL_B, Topology, TopologyKi
 MAX_GAIN = 100.0
 
 # Another sanity bound of the command line: the most points an object.T
-# sweep or a phase grid may ask for, checked before any grid is allocated.
-# The presets ask for at most 100 points per grid, the benchmark for 256.
+# sweep or a phase grid may ask for, and the most rows (T points x N_B
+# values) of a scan, checked before any grid is allocated.  The presets ask
+# for at most 100 points per grid and 400 rows, the benchmark for 256 points
+# and 800 rows.
 MAX_GRID_COUNT = 100_000
 
 
@@ -260,6 +262,9 @@ def run_config_from_mapping(mapping: dict[str, str]) -> RunConfig:
         _admit("object.T", ObjectPort, T)
 
     n_b_values = _as_float_list(mapping, "noise.N_B", (0.0,))
+    rows = len(t_values) * len(n_b_values)
+    if rows > MAX_GRID_COUNT:
+        raise ConfigError(f"noise.N_B: {rows} rows (T points x N_B values) are above {MAX_GRID_COUNT}")
     for n_b in n_b_values:
         _admit("noise.N_B", ThermalInput, MODE_BACKGROUND, n_b)
 

@@ -405,22 +405,6 @@ def phase_coeffs(
     return e, f
 
 
-def mode_scaling_coeffs(
-    n_modes: int, mode: ModeId, factor: Sequence[float]
-) -> tuple[np.ndarray, np.ndarray]:
-    """(E, F) for the raw contraction a -> factor * a on one mode.
-
-    This is not a unitary element: conjugating Sigma with it also scales the
-    mode's commutator, which is exactly what a filtered (projected) mode
-    carries.  It is used for mode-matched herald analyses and must not be fed
-    back into ``GaussianState``, whose validation assumes canonical
-    commutators.
-    """
-    e, f = identity_coeffs(n_modes, len(factor))
-    e[:, mode, mode] = factor
-    return e, f
-
-
 def _layout(el: Element) -> tuple:
     """Kind and modes of a linear element: what batched networks share."""
     if isinstance(el, TwoModeSqueezer):
@@ -432,7 +416,7 @@ def _layout(el: Element) -> tuple:
     raise TypeError(f"unknown network element {el!r}")
 
 
-def _element_maps(n_modes: int, column: Sequence[Element]) -> np.ndarray:
+def element_maps(n_modes: int, column: Sequence[Element]) -> np.ndarray:
     """(B, 2n, 2n) transforms of one element position across B networks."""
     layout = _layout(column[0])
     if any(_layout(el) != layout for el in column):
@@ -449,7 +433,7 @@ def _element_maps(n_modes: int, column: Sequence[Element]) -> np.ndarray:
 
 
 def _apply(state: GaussianState, element: Element) -> GaussianState:
-    s = _element_maps(state.n_modes, [element])
+    s = element_maps(state.n_modes, [element])
     m, a = _conjugated(state.n_modes, state.normal_moments, state.anomalous_moments, s)
     return GaussianState(state.n_modes, m[0], a[0])
 
@@ -555,7 +539,7 @@ def run_elements_batch(n_modes: int, networks: Sequence[Iterable[Element]]) -> G
     if len({len(row) for row in ops}) > 1:
         raise ValueError("batched networks must share one element layout")
     for column in zip(*ops):
-        s = _element_maps(n, column)
+        s = element_maps(n, column)
         states = GaussianStates(
             n, *_conjugated(n, states.normal_moments, states.anomalous_moments, s)
         )

@@ -12,12 +12,13 @@ and the unconditional mean (nu -> infinity).
 The mode-matched heralded fringe treats the detected idler as the
 component matched to the pair source: the object port's reflected input
 is statistically independent of the herald, so it contributes neither to
-the herald rate nor to the phase-sensitive herald-signal correlation.
-Intensities are read from the network with the background port in vacuum,
-while the herald-side correlation comes from a filtered pass in which the
-object port acts as a raw amplitude contraction of the idler (no ancilla
-admixture).  The filtered pass runs on raw stacked-moment matrices since
-the contraction is not a unitary element.
+the herald rate nor to the phase-sensitive herald-signal correlation.  Both
+engine passes run the element list of the background-free two-source
+network.  The unitary pass gives the intensities.  The filtered pass, on raw
+moment matrices, gives <b_I b_S>: there the background port has no
+commutator (<b b^dag> = 0), so the object-port splitter is the raw idler
+contraction b_I -> sqrt(T) b_I.  The loss port's vacuum that it drops is
+what separates this model from the physical network.
 
 Both passes run over a whole grid of (V_A, V_B, T, phi) points as one
 stacked engine propagation each.  The conditional mean is exactly
@@ -34,22 +35,13 @@ points) and compares the results with the written column at 1e-10.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from typing import Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import closed_forms, gaussian, interferometer
-from .gaussian import GaussianState, ModeId, ObjectPort
-from .interferometer import (
-    MODE_IDLER,
-    MODE_PLUS,
-    MODE_SIGNAL_A,
-    MODE_SIGNAL_B,
-    Topology,
-    TopologyKind,
-    _INV_SQRT2,
-)
+from .gaussian import GaussianState, ModeId
+from .interferometer import MODE_BACKGROUND, MODE_IDLER, MODE_PLUS, Topology, TopologyKind
 
 _NO_HERALD = "no herald events: the herald mode is empty"
 
@@ -108,105 +100,74 @@ def conditional_mean_povm(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ModeMatchedMoments:
-    """Ingredients of the conditional fringe, as arrays over the grid."""
-
-    herald_mean: np.ndarray       # <n_I>
-    signal_mean: np.ndarray       # <n_S>(phi)
-    pair_corr: np.ndarray         # <b_I b_S>(phi)
-    exchange_corr: np.ndarray     # <b_I b_S^dag>(phi); zero in this geometry
+def _two_source_gains(topo: Topology, what: str) -> tuple[float, float, float]:
+    """(V_A, V_B, T) of a two-source topology."""
+    if topo.kind is not TopologyKind.TWO_SPDC:
+        raise ValueError(f"{what} is defined for the two-source layout")
+    return topo.crystal_a.V, topo.crystal_b.V, topo.object_port.T
 
 
-def _gains(topo: Topology | Sequence[Topology]) -> tuple:
-    """(V_A, V_B, T) of one topology, or arrays of them over a sequence."""
-    if isinstance(topo, Topology):
-        return topo.crystal_a.V, topo.crystal_b.V, topo.object_port.T
-    return tuple(np.array(values) for values in zip(*map(_gains, topo)))
-
-
-def _abs_squared(z: np.ndarray) -> np.ndarray:
-    """|z|^2 rounded as the scalar ``abs(z) ** 2`` (hypot, then pow):
-    ``np.abs`` and ``** 2`` on arrays can differ from it in the last bit."""
-    return np.float_power(np.hypot(z.real, z.imag), 2.0)
-
-
-def mode_matched_moments_grid(
-    topos: Sequence[Topology], phis: Sequence[float]
-) -> ModeMatchedMoments:
-    """Engine mode-matched herald/signal moments at every grid point
-    (topos[k], phis[k]), as arrays over the grid.
-
-    Two stacked passes through the moment engine: a unitary pass with the
-    background port in vacuum for the intensities, and a filtered pass with
-    the object port as a raw idler contraction for the correlations.  Every
-    point is verified against the closed forms.
-    """
-    if len(topos) != len(phis):
-        raise ValueError("the grid needs one phase per topology")
-    if any(t.kind is not TopologyKind.TWO_SPDC for t in topos):
-        raise ValueError("mode-matched heralding is defined for the two-source layout")
-    clean = [replace(t, object_port=ObjectPort(t.object_port.T, 0.0)) for t in topos]
-    states = interferometer.output_states(clean, phis)
+def mode_matched_moments(v_a, v_b, T, phi) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Engine (<n_I>, <n_S>, |<b_I b_S>|^2) of the mode-matched herald, as
+    flat arrays over the broadcast (V_A, V_B, T, phi) points; every point is
+    verified against the closed forms."""
+    v_a, v_b, T, phi = (np.ravel(a) for a in np.broadcast_arrays(v_a, v_b, T, phi))
+    networks = [
+        interferometer.network_elements(interferometer.two_spdc(a, b, t), p)
+        for a, b, t, p in zip(v_a.tolist(), v_b.tolist(), T.tolist(), phi.tolist())
+    ]
+    n = 4  # modes of the two-source network
+    states = gaussian.run_elements_batch(n, networks)
     n_s = states.mean_photon_numbers(MODE_PLUS)
     n_i = states.mean_photon_numbers(MODE_IDLER)
 
-    # Filtered pass on three modes: signal A, signal B, idler.
-    n = 3
-    half = np.full(len(topos), _INV_SQRT2)
-    steps = (
-        gaussian.squeezer_coeffs(n, MODE_SIGNAL_A, MODE_IDLER, [t.crystal_a for t in topos]),
-        gaussian.mode_scaling_coeffs(n, MODE_IDLER, [t.object_port.t_amp for t in topos]),
-        gaussian.squeezer_coeffs(n, MODE_SIGNAL_B, MODE_IDLER, [t.crystal_b for t in topos]),
-        gaussian.phase_coeffs(n, MODE_SIGNAL_B, [2.0 * phi for phi in phis]),
-        gaussian.beam_splitter_coeffs(n, MODE_SIGNAL_B, MODE_SIGNAL_A, half, half),
-    )
-    sigma = gaussian.vacuum_sigma(n)
-    for e, f in steps:
-        sigma = gaussian.conjugate_sigma(sigma, gaussian.stacked_map(e, f))
-    # Ordered entries with the herald operator leftmost.
-    pair_corr = sigma[:, MODE_IDLER, n + MODE_PLUS]       # <b_I b_S>
-    exchange_corr = sigma[:, MODE_IDLER, MODE_PLUS]       # <b_I b_S^dag>
+    # filtered pass: no commutator on the background port
+    sigma = np.tile(gaussian.vacuum_sigma(n), (len(networks), 1, 1))
+    sigma[:, MODE_BACKGROUND, MODE_BACKGROUND] = 0.0
+    for column in zip(*networks):
+        sigma = gaussian.conjugate_sigma(sigma, gaussian.element_maps(n, column))
+    pair_corr = sigma[:, MODE_IDLER, n + MODE_PLUS]  # <b_I b_S>, herald operator leftmost
+    corr_sq = np.hypot(pair_corr.real, pair_corr.imag) ** 2  # as scalar abs(z) ** 2 rounds
 
     interferometer.check_closed_forms(
         "mode-matched engine moments",
-        closed_forms.herald_moments(*_gains(topos), np.asarray(phis)),
-        (n_i, n_s, _abs_squared(pair_corr)),
+        closed_forms.herald_moments(v_a, v_b, T, phi),
+        (n_i, n_s, corr_sq),
     )
-    return ModeMatchedMoments(n_i, n_s, pair_corr, exchange_corr)
+    return n_i, n_s, corr_sq
 
 
 def mode_matched_conditional_means(
-    topos: Sequence[Topology], phis: Sequence[float], det: DetectorModel | None = None
+    v_a, v_b, T, phi, det: DetectorModel | None = None
 ) -> np.ndarray:
-    """Conditional signal mean at every grid point (topos[k], phis[k]); nan
-    where the herald mode is empty."""
-    mm = mode_matched_moments_grid(topos, phis)
-    dark = mm.herald_mean <= 0.0
-    herald_mean = np.where(dark, 1.0, mm.herald_mean)
-    boost = _abs_squared(mm.pair_corr) + _abs_squared(mm.exchange_corr)
-    det = det or DetectorModel(1.0)  # eta = 1, nu = 0 is the ideal herald exactly
-    values = mm.signal_mean + det.eta * boost / (det.eta * herald_mean + det.nu)
-    return np.where(dark, np.nan, values)
+    """Conditional signal mean <n_S> + |<b_I b_S>|^2 / (<n_I> + nu / eta) at
+    every broadcast (V_A, V_B, T, phi) point, flat; nan where the herald
+    mode is empty."""
+    n_i, n_s, corr_sq = mode_matched_moments(v_a, v_b, T, phi)
+    det = det or DetectorModel(1.0)
+    boost = np.divide(
+        corr_sq, n_i + det.nu / det.eta, out=np.full_like(n_i, np.nan), where=n_i > 0.0
+    )
+    return n_s + boost
 
 
-def heralded_fringe_grid(topos: Sequence[Topology]) -> tuple[np.ndarray, HeraldedFringe]:
-    """Heralded fringes of many topologies from one batched engine pass:
-    the mask of topologies whose herald mode is empty, and the fringes of
-    the others as one HeraldedFringe of arrays.
+def heralded_fringe_grid(v_a, v_b, T) -> tuple[np.ndarray, HeraldedFringe]:
+    """Heralded fringes at every broadcast (V_A, V_B, T) point from one
+    batched engine pass: the flat mask of points whose herald mode is
+    empty, and the fringes of the others as one HeraldedFringe of arrays.
 
-    Every topology is evaluated at the two fringe phases of
+    Every point is evaluated at the two fringe phases of
     ``interferometer.FRINGE_PHASES`` through ``mode_matched_conditional_means``;
     dc and amplitude are verified against their closed forms.
     """
-    phases = interferometer.FRINGE_PHASES
-    grid = [t for t in topos for _ in phases]
-    values = mode_matched_conditional_means(grid, np.tile(phases, len(topos)))
-    values = values.reshape(len(topos), len(phases))
+    v_a, v_b, T = (np.ravel(a) for a in np.broadcast_arrays(v_a, v_b, T))
+    phases = np.array(interferometer.FRINGE_PHASES)
+    values = mode_matched_conditional_means(v_a[:, None], v_b[:, None], T[:, None], phases)
+    values = values.reshape(len(v_a), len(phases))
     dark = np.isnan(values).any(axis=1)
     lit = HeraldedFringe(*interferometer._fringe_values(*values[~dark].T))
 
-    n_i, exp_dc, exp_amp = (a[~dark] for a in closed_forms.heralded_fringe(*_gains(topos)))
+    n_i, exp_dc, exp_amp = (a[~dark] for a in closed_forms.heralded_fringe(v_a, v_b, T))
     checked = n_i > 0.0
     interferometer.check_closed_forms(
         "engine heralded fringes",
@@ -219,7 +180,7 @@ def heralded_fringe_grid(topos: Sequence[Topology]) -> tuple[np.ndarray, Heralde
 def heralded_fringe_mode_matched(topo: Topology) -> HeraldedFringe:
     """Conditional fringe of the "+" output heralded on the idler output,
     verified against its closed forms."""
-    (dark,), lit = heralded_fringe_grid([topo])
+    (dark,), lit = heralded_fringe_grid(*_two_source_gains(topo, "mode-matched heralding"))
     if dark:
         raise ValueError(_NO_HERALD)
     return HeraldedFringe(float(lit.dc[0]), float(lit.amplitude[0]), float(lit.visibility[0]))
@@ -228,6 +189,5 @@ def heralded_fringe_mode_matched(topo: Topology) -> HeraldedFringe:
 def heralded_visibility_pair_limit(topo: Topology) -> float:
     """Heralded contrast in the low-brightness pair limit; free of the
     thermal background by construction."""
-    if topo.kind is not TopologyKind.TWO_SPDC:
-        raise ValueError("pair-limit heralding is defined for the two-source layout")
-    return float(closed_forms.heralded_visibility_pair_limit(*_gains(topo)))
+    gains = _two_source_gains(topo, "pair-limit heralding")
+    return float(closed_forms.heralded_visibility_pair_limit(*gains))

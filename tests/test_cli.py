@@ -186,6 +186,19 @@ class TestFringeCommand:
         assert len(rows) == 16
         assert all(r.split(",")[3] == "nan" and math.isfinite(float(r.split(",")[1])) for r in rows)
 
+    def test_tiny_efficiency_and_herald_rate_stay_conditional(self, tmp_path):
+        # eta <n_I> underflows to 0 here; <n_I> + nu / eta does not
+        text = FRINGE_CFG.replace("V_A = 0.1", "V_A = 0").replace("V_B = 0.1", "V_B = 2.3e-308")
+        text = text.replace("object.T = 0.5", "object.T = 1")
+        cfg = write_cfg(tmp_path, text + "detector.eta = 2.3e-308\n")
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert cli.main(["fringe", "--config", str(cfg), "--out", str(out)]) == 0
+        rows = np.loadtxt(out / "fringe.csv", delimiter=",", skiprows=1)
+        assert rows.shape == (16, 4)
+        assert np.abs(rows[:, 3] - 0.5).max() <= 1e-12
+
     def test_sweep_rejected(self, tmp_path):
         cfg = write_cfg(tmp_path, SCAN_CFG)
         assert cli.main(["fringe", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
@@ -583,6 +596,33 @@ class TestInputBounds:
         err = capsys.readouterr().err
         assert err.startswith(f"config error: {key}: ")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["scan-visibility", "scan-snr"])
+    def test_scan_rows_above_bound_are_config_error(self, tmp_path, capsys, command):
+        # 1000 T points x 1000 backgrounds: about 0.46 GB of rows and 1001 plots
+        backgrounds = ", ".join(str(k) for k in range(1000))
+        text = SCAN_CFG.replace("count = 8", "count = 1000").replace("0, 10", backgrounds)
+        cfg = write_cfg(tmp_path, text)
+        tracemalloc.start()
+        try:
+            code = cli.main([command, "--config", str(cfg), "--out", str(tmp_path / "out")])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert peak < 1 << 20
+        err = capsys.readouterr().err
+        assert err.startswith("config error: noise.N_B: ")
+        assert "Traceback" not in err
+
+    def test_scan_row_bound_is_inclusive(self):
+        keys = {"gain.V_A": "0.1", "gain.V_B": "0.1", "object.T.min": "0", "object.T.max": "1",
+                "noise.N_B": ", ".join(str(k) for k in range(10))}
+        count = MAX_GRID_COUNT // 10
+        cfg = run_config_from_mapping(dict(keys, **{"object.T.count": str(count)}))
+        assert len(cfg.transmittance_values()) * len(cfg.n_b_values) == MAX_GRID_COUNT
+        with pytest.raises(ConfigError, match="^noise.N_B: "):
+            run_config_from_mapping(dict(keys, **{"object.T.count": str(count + 1)}))
 
     def test_grid_count_bound_is_inclusive(self, tmp_path):
         text = FRINGE_CFG.replace("phase.count = 16", f"phase.count = {MAX_GRID_COUNT}")

@@ -88,24 +88,24 @@ class TestConditionalMeanPovm:
 
 class TestModeMatchedFringe:
     def test_herald_mean_reference(self):
-        mm = her.mode_matched_moments_grid([reference_topology()], [0.0])
-        assert mm.herald_mean[0] == pytest.approx(HERALD_MEAN_REF, abs=1e-12)
-
-    def test_exchange_correlation_vanishes(self):
-        for phi in (0.0, 0.4, 1.1):
-            mm = her.mode_matched_moments_grid([reference_topology()], [phi])
-            assert abs(mm.exchange_corr[0]) < 1e-12
+        n_i, _, _ = her.mode_matched_moments(0.1, 0.1, 0.5, 0.0)
+        assert n_i[0] == pytest.approx(HERALD_MEAN_REF, abs=1e-12)
 
     def test_engine_reproduces_closed_forms(self):
-        # mode_matched_moments_grid raises internally on closed-form mismatch;
+        # mode_matched_moments raises internally on closed-form mismatch;
         # verify explicitly at a nontrivial phase as well.
-        topo = itf.two_spdc(0.25, 0.08, 0.7, 40.0)
-        phi = 0.9
-        mm = her.mode_matched_moments_grid([topo], [phi])
-        n_i, n_s, corr_sq = closed_forms.herald_moments(0.25, 0.08, 0.7, phi)
-        assert mm.herald_mean[0] == pytest.approx(n_i, abs=1e-10)
-        assert mm.signal_mean[0] == pytest.approx(n_s, abs=1e-10)
-        assert abs(mm.pair_corr[0]) ** 2 == pytest.approx(corr_sq, abs=1e-10)
+        got = her.mode_matched_moments(0.25, 0.08, 0.7, 0.9)
+        expected = closed_forms.herald_moments(0.25, 0.08, 0.7, 0.9)
+        for value, exp in zip(got, expected):
+            assert value[0] == pytest.approx(exp, abs=1e-10)
+
+    def test_arguments_broadcast_to_flat_arrays(self):
+        phis = np.linspace(0.0, math.pi, 5)
+        n_i, n_s, corr_sq = her.mode_matched_moments(0.1, 0.2, np.array([[0.3], [0.6]]), phis)
+        assert n_i.shape == n_s.shape == corr_sq.shape == (10,)
+        values = her.mode_matched_conditional_means(0.1, 0.2, 0.3, phis)
+        assert values.shape == (5,)
+        assert np.array_equal(n_s[:5] + corr_sq[:5] / n_i[:5], values)
 
     @pytest.mark.parametrize("n_b", [0.0, 10.0, 100.0])
     def test_background_free(self, n_b):
@@ -183,19 +183,73 @@ class TestPairLimit:
 
 class TestPovmFringeHelper:
     def test_ideal_detector_matches_wick_assembly(self):
-        topo = reference_topology()
         for phi in (0.0, 0.8):
-            (ideal,) = her.mode_matched_conditional_means([topo], [phi])
+            (ideal,) = her.mode_matched_conditional_means(0.1, 0.1, 0.5, phi)
             (with_det,) = her.mode_matched_conditional_means(
-                [topo], [phi], her.DetectorModel(eta=0.4, nu=0.0)
+                0.1, 0.1, 0.5, phi, her.DetectorModel(eta=0.4, nu=0.0)
             )
             assert with_det == pytest.approx(ideal, abs=1e-12)
 
     def test_dark_counts_wash_out_conditioning(self):
-        topo = reference_topology(0.0)
-        (value,) = her.mode_matched_conditional_means([topo], [0.0], her.DetectorModel(1.0, 1e12))
-        mm = her.mode_matched_moments_grid([topo], [0.0])
-        assert value == pytest.approx(mm.signal_mean[0], rel=1e-9)
+        (value,) = her.mode_matched_conditional_means(
+            0.1, 0.1, 0.5, 0.0, her.DetectorModel(1.0, 1e12)
+        )
+        _, (n_s,), _ = her.mode_matched_moments(0.1, 0.1, 0.5, 0.0)
+        assert value == pytest.approx(n_s, rel=1e-9)
+
+    def test_overflowing_dark_count_ratio_is_the_unconditional_mean(self):
+        # nu / eta overflows to inf: the boost is 0, quietly
+        det = her.DetectorModel(1e-300, 1e300)
+        (value,) = her.mode_matched_conditional_means(0.1, 0.1, 0.5, 0.4, det)
+        _, (n_s,), _ = her.mode_matched_moments(0.1, 0.1, 0.5, 0.4)
+        assert value == n_s
+        closed = closed_forms.heralded_signal_mean(0.1, 0.1, 0.5, 0.4, det.eta, det.nu)
+        assert closed == closed_forms.herald_moments(0.1, 0.1, 0.5, 0.4)[1]
+
+
+# ---------------------------------------------------------------------------
+# The filtered pass against the raw idler contraction written out by hand
+# ---------------------------------------------------------------------------
+
+
+def _raw_contraction_reference(v_a, v_b, T, phi):
+    """The filtered pass on three modes (signal A, signal B, idler): crystal
+    A, the raw idler contraction b_I -> sqrt(T) b_I, crystal B, the phase and
+    the splitter.  Returns the raw <b_I b_S> and <b_I b_S^dag>."""
+    n = 3
+    contraction = g.identity_coeffs(n, len(T))
+    contraction[0][:, itf.MODE_IDLER, itf.MODE_IDLER] = np.sqrt(T)
+    half = np.full(len(T), 1.0 / math.sqrt(2.0))
+    steps = (
+        g.squeezer_coeffs(n, itf.MODE_SIGNAL_A, itf.MODE_IDLER, list(map(g.SqueezerParams, v_a))),
+        contraction,
+        g.squeezer_coeffs(n, itf.MODE_SIGNAL_B, itf.MODE_IDLER, list(map(g.SqueezerParams, v_b))),
+        g.phase_coeffs(n, itf.MODE_SIGNAL_B, 2.0 * phi),
+        g.beam_splitter_coeffs(n, itf.MODE_SIGNAL_B, itf.MODE_SIGNAL_A, half, half),
+    )
+    sigma = g.vacuum_sigma(n)
+    for e, f in steps:
+        sigma = g.conjugate_sigma(sigma, g.stacked_map(e, f))
+    # ordered entries with the herald operator leftmost
+    return sigma[:, itf.MODE_IDLER, n + itf.MODE_PLUS], sigma[:, itf.MODE_IDLER, itf.MODE_PLUS]
+
+
+def test_filtered_pass_matches_the_raw_contraction():
+    count = 240
+    rng = np.random.default_rng(30)
+
+    def gains():
+        low, high = rng.uniform(0.0, 0.3, count), rng.uniform(1.0, 100.0, count)
+        return np.where(rng.random(count) < 0.5, low, high)
+
+    v_a, v_b = gains(), gains()
+    T = np.concatenate([[0.0, 1.0], rng.uniform(0.0, 1.0, count - 2)])
+    phi = rng.uniform(0.0, math.pi, count)
+    pair_corr, exchange_corr = _raw_contraction_reference(v_a, v_b, T, phi)
+    # the exchange term <b_I b_S^dag> is exactly 0, so the boost leaves it out
+    assert (exchange_corr == 0.0).all()
+    _, _, corr_sq = her.mode_matched_moments(v_a, v_b, T, phi)
+    np.testing.assert_allclose(corr_sq, np.abs(pair_corr) ** 2, rtol=1e-13, atol=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -207,27 +261,25 @@ def _close(batched, single):
     return abs(batched - single) <= 1e-12 * abs(single)
 
 
-def _assert_grid_matches_points(topos, phis):
-    mm = her.mode_matched_moments_grid(topos, phis)
-    for k, (topo, phi) in enumerate(zip(topos, phis)):
-        one = her.mode_matched_moments_grid([topo], [phi])
-        assert _close(mm.herald_mean[k], one.herald_mean[0])
-        assert _close(mm.signal_mean[k], one.signal_mean[0])
-        assert _close(mm.pair_corr[k], one.pair_corr[0])
-        assert _close(mm.exchange_corr[k], one.exchange_corr[0])
-    dark, lit = her.heralded_fringe_grid(topos)
+def _assert_grid_matches_points(v_a, v_b, T, n_b, phi):
+    grid = her.mode_matched_moments(v_a, v_b, T, phi)
+    for k in range(len(T)):
+        one = her.mode_matched_moments(v_a[k], v_b[k], T[k], phi[k])
+        for batched, single in zip(grid, one):
+            assert _close(batched[k], single[0])
+    dark, lit = her.heralded_fringe_grid(v_a, v_b, T)
     assert lit.dc.size == np.count_nonzero(~dark)
-    # k: the index of each lit topology among the lit ones
-    for topo, is_dark, k in zip(topos, dark, np.cumsum(~dark) - 1):
+    # j: the index of each lit point among the lit ones
+    for k, is_dark, j in zip(range(len(T)), dark, np.cumsum(~dark) - 1):
         try:
-            one = her.heralded_fringe_mode_matched(topo)
+            one = her.heralded_fringe_mode_matched(itf.two_spdc(v_a[k], v_b[k], T[k], n_b[k]))
         except ValueError:
             assert is_dark
             continue
         assert not is_dark
-        assert _close(lit.dc[k], one.dc)
-        assert _close(lit.amplitude[k], one.amplitude)
-        assert _close(lit.visibility[k], one.visibility)
+        assert _close(lit.dc[j], one.dc)
+        assert _close(lit.amplitude[j], one.amplitude)
+        assert _close(lit.visibility[j], one.visibility)
 
 
 # Gains, transmittances and occupations are 0 or normal floats: the
@@ -241,32 +293,27 @@ _POINT = st.tuples(_GAIN, _GAIN, _TRANSMITTANCE, _OCCUPATION, st.floats(0.0, mat
 @settings(max_examples=40, deadline=None)
 @given(points=st.lists(_POINT, min_size=1, max_size=12))
 def test_batched_grid_matches_points(points):
-    topos = [itf.two_spdc(v_a, v_b, T, n_b) for v_a, v_b, T, n_b, _ in points]
-    _assert_grid_matches_points(topos, [point[-1] for point in points])
+    _assert_grid_matches_points(*np.array(points).T)
 
 
 def test_batched_grid_of_273_points():
     count = 273
     rng = np.random.default_rng(11)
-    topos = [
-        itf.two_spdc(v_a, v_b, T, n_b)
-        for v_a, v_b, T, n_b in zip(
-            rng.uniform(0.0, 5.0, count),
-            rng.uniform(0.0, 5.0, count),
-            rng.uniform(0.0, 1.0, count),
-            rng.uniform(0.0, 10.0, count),
-        )
-    ]
-    _assert_grid_matches_points(topos, rng.uniform(0.0, math.pi, count))
+    _assert_grid_matches_points(
+        rng.uniform(0.0, 5.0, count),
+        rng.uniform(0.0, 5.0, count),
+        rng.uniform(0.0, 1.0, count),
+        rng.uniform(0.0, 10.0, count),
+        rng.uniform(0.0, math.pi, count),
+    )
 
 
 def test_dark_grid_points_are_nan_and_single_points_raise():
-    topos = [itf.two_spdc(0.1, 0.0, 0.0, 1.0), itf.two_spdc(0.1, 0.0, 0.5, 1.0)]
-    values = her.mode_matched_conditional_means(topos, [0.3, 0.3])
+    values = her.mode_matched_conditional_means(0.1, 0.0, [0.0, 0.5], 0.3)
     assert math.isnan(values[0]) and math.isfinite(values[1])
-    (one,) = her.mode_matched_conditional_means(topos[:1], [0.3])
+    (one,) = her.mode_matched_conditional_means(0.1, 0.0, 0.0, 0.3)
     assert math.isnan(one)
-    dark, lit = her.heralded_fringe_grid(topos)
+    dark, lit = her.heralded_fringe_grid(0.1, 0.0, [0.0, 0.5])
     assert dark.tolist() == [True, False] and lit.dc.size == 1
     with pytest.raises(ValueError, match="no herald"):
-        her.heralded_fringe_mode_matched(topos[0])
+        her.heralded_fringe_mode_matched(itf.two_spdc(0.1, 0.0, 0.0, 1.0))
